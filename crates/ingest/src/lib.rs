@@ -22,7 +22,9 @@
 //!   governs the server like every other subsystem) and runs one
 //!   accept+poll loop per worker over scoped threads. Workers never block
 //!   on a single connection, so a hostile dribbling client cannot stall
-//!   the accept loop.
+//!   the accept loop. A pass with no work waits on readiness (`ppoll(2)`
+//!   over the listener and every socket, bounded at 50 µs) instead of
+//!   sleeping, so an idle worker wakes as soon as a request lands.
 //! * **Zero-allocation steady state.** Every connection owns reusable
 //!   input/output/batch buffers that grow to their high-water mark and
 //!   stay; warm request handling performs **zero heap allocations** with

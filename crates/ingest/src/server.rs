@@ -9,6 +9,13 @@
 //! accept loop or its neighbours — it just burns its own idle deadline
 //! and gets closed.
 //!
+//! A pass that finds no work ends in a readiness wait (`ppoll(2)` on
+//! Linux) over the listener and every connection's socket, so the next
+//! request wakes the worker as soon as its bytes land. The wait is
+//! bounded at 50 µs, which keeps the group-commit tick, the deadline
+//! checks and shutdown at a fixed cadence. Other targets sleep for the
+//! same bound.
+//!
 //! Two deadlines apply per connection: a short one while a *partial*
 //! request is buffered (the slowloris guard) and a longer keep-alive one
 //! while the connection is idle between requests.
@@ -40,9 +47,6 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Deadline for an idle keep-alive connection with no pending bytes.
     pub keep_alive_timeout: Duration,
-    /// Sleep when a poll pass finds no work (keeps idle CPU near zero
-    /// without adding meaningful latency).
-    pub poll_sleep: Duration,
 }
 
 impl Default for ServerConfig {
@@ -53,10 +57,15 @@ impl Default for ServerConfig {
             max_conns_per_worker: 128,
             idle_timeout: Duration::from_secs(2),
             keep_alive_timeout: Duration::from_secs(30),
-            poll_sleep: Duration::from_micros(50),
         }
     }
 }
+
+/// Longest single idle wait. Bounding the wait keeps three things at this
+/// cadence while no socket is ready: the [`BatchLog::tick`] group-commit
+/// age bound, the per-connection deadline checks, and shutdown. Longer
+/// bounds measured slower, not faster (DESIGN.md §13, "Idle wait").
+const IDLE_WAIT: Duration = Duration::from_micros(50);
 
 /// One worker's view of a connection.
 struct Slot {
@@ -118,8 +127,10 @@ fn worker_loop<F, L>(
 {
     let mut slots: Vec<Slot> = Vec::new();
     let mut read_buf = vec![0u8; 16 * 1024];
+    let mut wait_set = WaitSet::default();
     while !shutdown.load(Ordering::Relaxed) {
         let mut worked = false;
+        let mut accept_failed = false;
 
         // Accept while capacity remains; the listener is shared, so each
         // pending connection lands on whichever worker grabs it first.
@@ -139,7 +150,13 @@ fn worker_loop<F, L>(
                     worked = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break, // transient (EMFILE etc.); retry next pass
+                Err(_) => {
+                    // Transient (EMFILE etc.): the connection stays
+                    // pending, so the listener stays readable. Leave it
+                    // out of this pass's wait or the worker would spin.
+                    accept_failed = true;
+                    break;
+                }
             }
         }
 
@@ -209,11 +226,142 @@ fn worker_loop<F, L>(
             // here poisons the WAL, which the next submit surfaces as
             // Internal — nothing to report from the socket layer.
             let _ = engine.log().tick();
-            std::thread::sleep(cfg.poll_sleep);
+            wait_set.wait(listener, &slots, cfg.max_conns_per_worker, accept_failed);
         }
     }
     for slot in slots.drain(..) {
         slot.close();
+    }
+}
+
+/// One worker's idle wait, with a reusable interest list so idle passes
+/// stay allocation-free.
+#[derive(Default)]
+struct WaitSet {
+    #[cfg(target_os = "linux")]
+    fds: Vec<sys::PollFd>,
+}
+
+#[cfg(target_os = "linux")]
+impl WaitSet {
+    /// Rebuilds the interest list: the listener while the worker can
+    /// accept (a free slot, and no accept error this pass), then each
+    /// connection — readable unless it is closing, writable only while
+    /// it holds unsent output. The pass has already dropped every closing
+    /// connection with nothing left to send, so no entry is empty.
+    fn fill(
+        &mut self,
+        listener: &TcpListener,
+        slots: &[Slot],
+        max_conns: usize,
+        accept_failed: bool,
+    ) {
+        use std::os::fd::AsRawFd;
+
+        self.fds.clear();
+        if slots.len() < max_conns && !accept_failed {
+            self.fds
+                .push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
+        }
+        for slot in slots {
+            let mut events = 0;
+            if !slot.conn.wants_close() {
+                events |= sys::POLLIN;
+            }
+            if !slot.conn.output().is_empty() {
+                events |= sys::POLLOUT;
+            }
+            self.fds
+                .push(sys::PollFd::new(slot.stream.as_raw_fd(), events));
+        }
+    }
+
+    /// Blocks until a socket in the interest list is ready or
+    /// [`IDLE_WAIT`] passes. Every outcome, `EINTR` included, just
+    /// starts the next pass, which re-checks everything.
+    fn wait(
+        &mut self,
+        listener: &TcpListener,
+        slots: &[Slot],
+        max_conns: usize,
+        accept_failed: bool,
+    ) {
+        self.fill(listener, slots, max_conns, accept_failed);
+        sys::wait(&mut self.fds, IDLE_WAIT);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+impl WaitSet {
+    /// No readiness wait here: sleep for the bound instead.
+    fn wait(&mut self, _: &TcpListener, _: &[Slot], _: usize, _: bool) {
+        std::thread::sleep(IDLE_WAIT);
+    }
+}
+
+/// `ppoll(2)`, declared against the libc that std already links.
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
+    use std::time::Duration;
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    impl PollFd {
+        pub fn new(fd: c_int, events: c_short) -> Self {
+            Self {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    /// `struct timespec` (`time_t` is a C `long` on Linux).
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    extern "C" {
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+
+    /// Waits until one of `fds` is ready or `timeout` passes. The result
+    /// is ignored: callers re-check every socket afterwards anyway.
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) {
+        let ts = Timespec {
+            tv_sec: timeout.as_secs() as c_long,
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+        // pollfd records and `nfds` is its length, so the kernel writes
+        // only `revents` fields inside it; `ts` outlives the call; a null
+        // sigmask leaves the thread's signal mask unchanged.
+        unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                &ts,
+                std::ptr::null(),
+            );
+        }
     }
 }
 
@@ -272,4 +420,113 @@ where
         shutdown,
         join: Some(join),
     })
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use std::os::fd::AsRawFd;
+
+    use tsad_fleet::{Fleet, FleetConfig};
+    use tsad_stream::{FnFactory, StreamingGlobalZScore};
+
+    type TestFactory = FnFactory<fn(u64) -> StreamingGlobalZScore>;
+
+    fn engine() -> Engine<TestFactory> {
+        fn spawn(_id: u64) -> StreamingGlobalZScore {
+            StreamingGlobalZScore::new(2).expect("window >= 2")
+        }
+        Engine::new(
+            Fleet::new(
+                FnFactory(spawn as fn(u64) -> StreamingGlobalZScore),
+                FleetConfig::default(),
+            ),
+            crate::EngineConfig::default(),
+        )
+    }
+
+    /// A listener plus one accepted slot per request prefix, each fed
+    /// its bytes so the connection sits in the state under test.
+    fn setup(fed: &[&[u8]]) -> (TcpListener, Vec<Slot>, Vec<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let engine = engine();
+        let mut slots = Vec::new();
+        let mut peers = Vec::new();
+        for bytes in fed {
+            peers.push(TcpStream::connect(listener.local_addr().unwrap()).expect("connect"));
+            let (stream, _) = listener.accept().expect("accept");
+            let mut conn = Conn::new(ConnConfig::default());
+            conn.feed(bytes, &engine);
+            slots.push(Slot {
+                stream,
+                conn,
+                last_progress: Instant::now(),
+            });
+        }
+        (listener, slots, peers)
+    }
+
+    fn entries(set: &WaitSet) -> Vec<(i32, i16)> {
+        set.fds.iter().map(|p| (p.fd, p.events)).collect()
+    }
+
+    #[test]
+    fn listener_is_watched_only_while_the_worker_can_accept() {
+        let (listener, slots, _peers) = setup(&[b"", b""]);
+        let lfd = listener.as_raw_fd();
+        let mut set = WaitSet::default();
+
+        set.fill(&listener, &slots, 3, false);
+        assert_eq!(set.fds[0], sys::PollFd::new(lfd, sys::POLLIN));
+        assert_eq!(set.fds.len(), 3);
+
+        // an accept error leaves the connection pending: do not wait on it
+        set.fill(&listener, &slots, 3, true);
+        assert!(entries(&set).iter().all(|&(fd, _)| fd != lfd));
+        assert_eq!(set.fds.len(), 2);
+
+        // a full worker leaves new connections in the OS backlog
+        set.fill(&listener, &slots, 2, false);
+        assert!(entries(&set).iter().all(|&(fd, _)| fd != lfd));
+        assert_eq!(set.fds.len(), 2);
+    }
+
+    #[test]
+    fn writability_is_watched_only_with_pending_output() {
+        let (listener, slots, _peers) = setup(&[b"", b"GET /healthz HTTP/1.1\r\n\r\n"]);
+        assert!(slots[0].conn.output().is_empty());
+        assert!(!slots[1].conn.output().is_empty());
+        let mut set = WaitSet::default();
+        set.fill(&listener, &slots, 0, false);
+        assert_eq!(
+            entries(&set),
+            vec![
+                (slots[0].stream.as_raw_fd(), sys::POLLIN),
+                (slots[1].stream.as_raw_fd(), sys::POLLIN | sys::POLLOUT),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_closing_connection_is_not_watched_for_input() {
+        let (listener, slots, _peers) = setup(&[b"GET /healthz HTTP/1.0\r\n\r\n"]);
+        assert!(slots[0].conn.wants_close());
+        assert!(!slots[0].conn.output().is_empty());
+        let mut set = WaitSet::default();
+        set.fill(&listener, &slots, 0, false);
+        assert_eq!(
+            entries(&set),
+            vec![(slots[0].stream.as_raw_fd(), sys::POLLOUT)]
+        );
+    }
+
+    #[test]
+    fn the_wait_returns_when_a_connection_becomes_readable() {
+        let (listener, slots, mut peers) = setup(&[b""]);
+        let mut set = WaitSet::default();
+        peers[0].write_all(b"G").expect("write");
+        // the byte is already queued: the kernel reports the socket readable
+        set.wait(&listener, &slots, 0, false);
+        assert_eq!(set.fds[0].revents & sys::POLLIN, sys::POLLIN);
+    }
 }

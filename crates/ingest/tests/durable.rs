@@ -6,18 +6,26 @@
 //! glue above it — [`recover_engine`] / [`checkpoint_now`] round-trips,
 //! the [`SubmitError::Internal`] wire mapping, and the registry
 //! fingerprint refusal (a log recorded under one catalog detector id
-//! must never replay into a fleet spawned from a different id).
+//! must never replay into a fleet spawned from a different id) — and,
+//! over a real socket, the server's idle passes driving the group-commit
+//! age bound.
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use tsad_detectors::registry::Params;
 use tsad_fleet::{BatchOutput, FleetConfig, SeriesId};
 use tsad_ingest::engine::{BatchLog, SubmitTiming};
 use tsad_ingest::{
     checkpoint_now, recover_engine, Conn, ConnConfig, DurableEngine, Engine, EngineConfig,
+    ServerConfig,
 };
 use tsad_stream::{
     DetectorFactory, FnFactory, RegistryFactory, StreamHints, StreamingGlobalZScore,
 };
-use tsad_wal::{MemDir, WalConfig, WalError};
+use tsad_wal::{FsyncPolicy, MemDir, Wal, WalConfig, WalError};
 
 type ZFactory = FnFactory<fn(u64) -> StreamingGlobalZScore>;
 
@@ -278,4 +286,79 @@ fn wal_failure_maps_to_a_binary_error_frame() {
     conn.feed(&ping, &engine);
     assert_eq!(conn.output().len(), before, "closed conn answered a frame");
     assert_eq!(engine.totals().wal_errors, 1);
+}
+
+#[test]
+fn idle_server_passes_enforce_the_group_commit_age_bound() {
+    // A group the append path never fills: only the age bound, enforced
+    // by the server's idle passes, can sync the one batch below.
+    let cfg = WalConfig {
+        policy: FsyncPolicy::GroupCommit {
+            batches: 1_000_000,
+            max_pending_micros: 1_000,
+        },
+        ..WalConfig::new("z4")
+    };
+    let wal = Wal::create(MemDir::new(), cfg).expect("fresh log");
+    let engine = Arc::new(Engine::with_log(
+        tsad_fleet::Fleet::new(zfactory(), fleet_cfg()),
+        EngineConfig::default(),
+        Mutex::new(wal),
+    ));
+    let fsyncs = || engine.log().lock().unwrap().fsyncs();
+    let before = fsyncs();
+    let handle = tsad_ingest::start(Arc::clone(&engine), ServerConfig::default(), "127.0.0.1:0")
+        .expect("bind loopback");
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let body = "1 0.5\n2 1.5\n";
+    let req = format!(
+        "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n{}",
+        body.len(),
+        body
+    );
+    stream.write_all(req.as_bytes()).expect("write request");
+    // read the whole response; the connection stays open and silent
+    let mut resp = Vec::new();
+    let mut chunk = [0u8; 1024];
+    let complete = |buf: &[u8]| {
+        let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
+        let head = String::from_utf8_lossy(&buf[..head_end]);
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))?
+            .parse()
+            .ok()?;
+        (buf.len() >= head_end + 4 + len).then_some(())
+    };
+    while complete(&resp).is_none() {
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(
+            n > 0,
+            "server closed early: {}",
+            String::from_utf8_lossy(&resp)
+        );
+        resp.extend_from_slice(&chunk[..n]);
+    }
+    let text = String::from_utf8_lossy(&resp);
+    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+    assert_eq!(
+        engine.log().lock().unwrap().next_seq(),
+        2,
+        "one batch logged"
+    );
+
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while fsyncs() == before {
+        assert!(
+            Instant::now() < deadline,
+            "no fsync within 1 s of an idle server holding an unsynced batch"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(stream);
+    handle.stop().expect("clean shutdown");
 }

@@ -4,7 +4,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tsad_fleet::{Fleet, FleetConfig};
 use tsad_ingest::{
@@ -241,4 +241,38 @@ fn http10_connection_close_semantics() {
     assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
     assert!(text.contains("Connection: close"), "{text}");
     handle.stop().expect("clean shutdown");
+}
+
+#[test]
+fn shutdown_is_prompt_with_idle_and_partial_connections_open() {
+    // One worker, so it holds both connections below in its wait set.
+    let (_engine, handle) = start_server(
+        EngineConfig::default(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    // Half a request head: the 2 s slowloris deadline is pending.
+    let mut partial = TcpStream::connect(handle.addr()).expect("connect partial");
+    partial
+        .write_all(b"POST /ingest HTTP/1.1\r\nContent-Le")
+        .unwrap();
+    // A keep-alive connection gone quiet after one answered request: the
+    // 30 s keep-alive deadline is pending. Its answer also shows the
+    // worker has accepted (and read) the partial connection queued
+    // before it.
+    let mut idle = TcpStream::connect(handle.addr()).expect("connect idle");
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let resp = send_recv(&mut idle, b"GET /healthz HTTP/1.1\r\n\r\n");
+    assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
+
+    let t0 = Instant::now();
+    handle.stop().expect("clean shutdown");
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "stop() took {took:?} with an idle and a partial connection open"
+    );
 }
