@@ -73,7 +73,7 @@ pub fn count_allocs(f: impl FnOnce()) -> u64 {
 
 /// Whether [`CountingAlloc`] is actually installed in this process, probed
 /// by performing one heap allocation and checking that the counter moved.
-/// Lets shared code (the `bench-json` experiment runs both under `repro`,
+/// Lets shared code (the bench suites run both under `repro`,
 /// where the allocator is installed, and under `cargo test`, where it is
 /// not) report `None` instead of a bogus zero.
 pub fn counting_allocator_active() -> bool {

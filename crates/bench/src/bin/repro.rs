@@ -4,17 +4,18 @@
 //! repro [--seed N] [--obs-summary] <experiment>...
 //! repro all                             # everything (table1 takes ~1 min in release)
 //! repro table1 fig8 fig13               # a subset
-//! repro --bench-out /tmp/fresh.json bench-json
-//! repro bench-compare --baseline BENCH_kernels.json --fresh /tmp/fresh.json
+//! repro bench kernels --out /tmp/fresh.json
+//! repro compare BENCH_kernels.json /tmp/fresh.json
 //! ```
 
 use std::process::ExitCode;
 
 use tsad_bench::experiments::*;
+use tsad_bench::gate::Doc;
 use tsad_bench::DEFAULT_SEED;
 
-// Count allocations in this binary so `bench-json` can report
-// `allocs_per_iter` honestly; library consumers never see this allocator.
+// Count allocations in this binary so `bench` can report allocation rows
+// honestly; library consumers never see this allocator.
 #[global_allocator]
 static ALLOC: tsad_bench::alloc_track::CountingAlloc = tsad_bench::alloc_track::CountingAlloc;
 
@@ -46,47 +47,31 @@ const EXPERIMENTS: &[&str] = &[
     "audit",
     "stream",
     "faults",
-    "faults-json",
-    "faults-compare",
     "catalog",
-    "catalog-json",
-    "catalog-compare",
     "detectors-md",
-    "bench-json",
-    "bench-compare",
     "fleet",
-    "fleet-json",
-    "fleet-compare",
     "loadgen",
-    "ingest-json",
-    "ingest-compare",
     "wal",
-    "wal-json",
-    "wal-compare",
     "write-archive",
 ];
 
+/// The bench suites, each committed as `BENCH_<suite>.json`.
+const SUITES: &[&str] = &["kernels", "fleet", "ingest", "wal", "catalog", "faults"];
+
 fn usage() -> String {
     format!(
-        "usage: repro [--seed N] [--obs-summary] [--bench-out PATH] \
-         [--baseline PATH] [--fresh PATH] <experiment>...\n       \
-         repro all\nexperiments: {}\n\
+        "usage: repro [--seed N] [--obs-summary] [--out PATH] <experiment>...\n       \
+         repro all\n       \
+         repro [--seed N] bench <suite> [--out PATH]\n       \
+         repro compare BASE FRESH\n\
+         experiments: {}\n\
+         suites: {}\n\
+         bench <suite>     run a bench suite and write its tsad-bench/v1 document\n\
+         compare BASE FRESH  gate a fresh document against the committed one (nonzero exit on failure)\n\
          --obs-summary     print the tsad-obs metric summary to stderr at exit\n\
-         --bench-out PATH  where bench-json writes its document (default BENCH_kernels.json)\n\
-         --baseline PATH   bench-compare: the committed baseline (default BENCH_kernels.json)\n\
-         --fresh PATH      bench-compare / faults-compare: the freshly generated document (required)\n\
-         --faults-out PATH      where faults-json writes its document (default BENCH_faults.json)\n\
-         --faults-baseline PATH faults-compare: the committed baseline (default BENCH_faults.json)\n\
-         --catalog-out PATH      where catalog-json writes its document (default BENCH_catalog.json)\n\
-         --catalog-baseline PATH catalog-compare: the committed baseline (default BENCH_catalog.json)\n\
-         --detectors-out PATH    where detectors-md writes the catalog doc (default DETECTORS.md)\n\
-         --fleet-series N       fleet / fleet-json: series count (defaults: fleet 1000000, fleet-json 100000)\n\
-         --fleet-out PATH       where fleet-json writes its document (default BENCH_fleet.json)\n\
-         --fleet-baseline PATH  fleet-compare: the committed baseline (default BENCH_fleet.json)\n\
-         --ingest-out PATH      where ingest-json writes its document (default BENCH_ingest.json)\n\
-         --ingest-baseline PATH ingest-compare: the committed baseline (default BENCH_ingest.json)\n\
-         --wal-out PATH         where wal-json writes its document (default BENCH_wal.json)\n\
-         --wal-baseline PATH    wal-compare: the committed baseline (default BENCH_wal.json)\n\
+         --out PATH        where bench writes (default BENCH_<suite>.json) and detectors-md writes\n                  \
+         (default DETECTORS.md)\n\
+         --fleet-series N  fleet / bench fleet: series count (defaults: fleet 1000000, bench fleet 100000)\n\
          --addr HOST:PORT  loadgen: drive an already-running server (default: self-hosted on 127.0.0.1:0)\n\
          --series N        loadgen: series-id space (default 10000)\n\
          --rps N           loadgen: target requests/second, 0 = unpaced (default 0)\n\
@@ -95,7 +80,8 @@ fn usage() -> String {
          --requests N      loadgen: total requests, 0 = run for --duration-ms (default 10000)\n\
          --duration-ms N   loadgen: run length when --requests 0 (default 5000)\n\
          --batch-points N  loadgen: points per request (default 64)",
-        EXPERIMENTS.join(", ")
+        EXPERIMENTS.join(", "),
+        SUITES.join(", ")
     )
 }
 
@@ -103,21 +89,8 @@ fn usage() -> String {
 struct Options {
     seed: u64,
     obs_summary: bool,
-    bench_out: String,
-    baseline: String,
-    fresh: Option<String>,
-    faults_out: String,
-    faults_baseline: String,
-    catalog_out: String,
-    catalog_baseline: String,
-    detectors_out: String,
+    out: Option<String>,
     fleet_series: Option<u64>,
-    fleet_out: String,
-    fleet_baseline: String,
-    ingest_out: String,
-    ingest_baseline: String,
-    wal_out: String,
-    wal_baseline: String,
     loadgen: ingest_bench::LoadGenCli,
 }
 
@@ -126,23 +99,69 @@ impl Default for Options {
         Self {
             seed: DEFAULT_SEED,
             obs_summary: false,
-            bench_out: "BENCH_kernels.json".to_string(),
-            baseline: "BENCH_kernels.json".to_string(),
-            fresh: None,
-            faults_out: "BENCH_faults.json".to_string(),
-            faults_baseline: "BENCH_faults.json".to_string(),
-            catalog_out: "BENCH_catalog.json".to_string(),
-            catalog_baseline: "BENCH_catalog.json".to_string(),
-            detectors_out: "DETECTORS.md".to_string(),
+            out: None,
             fleet_series: None,
-            fleet_out: "BENCH_fleet.json".to_string(),
-            fleet_baseline: "BENCH_fleet.json".to_string(),
-            ingest_out: "BENCH_ingest.json".to_string(),
-            ingest_baseline: "BENCH_ingest.json".to_string(),
-            wal_out: "BENCH_wal.json".to_string(),
-            wal_baseline: "BENCH_wal.json".to_string(),
             loadgen: ingest_bench::LoadGenCli::default(),
         }
+    }
+}
+
+/// Runs one bench suite and returns its document.
+fn bench(suite: &str, opts: &Options) -> Result<Doc, Box<dyn std::error::Error>> {
+    let seed = opts.seed;
+    Ok(match suite {
+        "kernels" => bench_json::run(seed, &bench_json::BenchConfig::default())?,
+        "fleet" => {
+            // CI scale by default, so the committed baseline regenerates
+            // quickly on any machine
+            let mut cfg = fleet::FleetBenchConfig::ci();
+            if let Some(n) = opts.fleet_series {
+                cfg.series = n;
+            }
+            fleet::to_doc(&fleet::run(seed, &cfg)?)
+        }
+        "ingest" => ingest_bench::to_doc(&ingest_bench::run(
+            seed,
+            &ingest_bench::IngestBenchConfig::ci(),
+        )?),
+        "wal" => wal_bench::to_doc(&wal_bench::run(seed, &wal_bench::WalBenchConfig::ci())?),
+        "catalog" => catalog::to_doc(&catalog::run(seed, &catalog::CatalogConfig::ci())?),
+        "faults" => faults::to_doc(&faults::run(seed)?),
+        other => {
+            return Err(format!("unknown suite {other:?}; suites: {}", SUITES.join(", ")).into())
+        }
+    })
+}
+
+/// `repro bench <suite>`: runs the suite and writes its document.
+fn run_bench(args: &[String], opts: &Options) -> Result<(), String> {
+    let [_, suite] = args else {
+        return Err(format!("bench takes one suite\n{}", usage()));
+    };
+    let out = opts
+        .out
+        .clone()
+        .unwrap_or_else(|| format!("BENCH_{suite}.json"));
+    let doc = bench(suite, opts).map_err(|e| format!("bench {suite} failed: {e}"))?;
+    std::fs::write(&out, doc.render()).map_err(|e| format!("write {out}: {e}"))?;
+    println!("wrote {out} ({} rows)", doc.rows.len());
+    Ok(())
+}
+
+fn run_experiment(name: &str, opts: &Options) -> Result<(), String> {
+    run_one(name, opts).map_err(|e| format!("experiment {name} failed: {e}"))
+}
+
+/// `repro compare BASE FRESH`: prints the delta table; `Err` on a failed
+/// gate or an unreadable/malformed document.
+fn compare_files(base: &str, fresh: &str) -> Result<(), String> {
+    let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"));
+    let report = tsad_bench::gate::compare(&read(base)?, &read(fresh)?)?;
+    print!("{}", tsad_bench::gate::render(&report));
+    if report.passed() {
+        Ok(())
+    } else {
+        Err(format!("{fresh} regresses against {base}"))
     }
 }
 
@@ -236,59 +255,15 @@ fn run_one(name: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>>
         "audit" => print!("{}", audit_exp::render(&audit_exp::run(seed, 10, 21)?)),
         "stream" => print!("{}", stream::render(&stream::run(seed)?)),
         "faults" => print!("{}", faults::render(&faults::run(seed)?)),
-        "faults-json" => {
-            let exp = faults::run(seed)?;
-            let json = faults::render_json(&exp);
-            std::fs::write(&opts.faults_out, &json)?;
-            println!("wrote {} ({} rows)", opts.faults_out, exp.rows.len());
-        }
-        "faults-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("faults-compare needs --fresh PATH\n{}", usage()))?;
-            match faults::run_files(&opts.faults_baseline, fresh) {
-                Ok(summary) => print!("{summary}"),
-                Err(failures) => {
-                    print!("{failures}");
-                    return Err("faults-compare gate failed".into());
-                }
-            }
-        }
         "catalog" => print!(
             "{}",
             catalog::render(&catalog::run(seed, &catalog::CatalogConfig::ci())?)
         ),
-        "catalog-json" => {
-            let exp = catalog::run(seed, &catalog::CatalogConfig::ci())?;
-            let json = catalog::render_json(&exp);
-            std::fs::write(&opts.catalog_out, &json)?;
-            println!("wrote {} ({} rows)", opts.catalog_out, exp.rows.len());
-        }
-        "catalog-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("catalog-compare needs --fresh PATH\n{}", usage()))?;
-            match catalog::run_files(&opts.catalog_baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("catalog-compare gate failed".into());
-                }
-            }
-        }
         "detectors-md" => {
             let md = catalog::detectors_md();
-            std::fs::write(&opts.detectors_out, &md)?;
-            println!("wrote {} ({} bytes)", opts.detectors_out, md.len());
-        }
-        "bench-json" => {
-            let doc = bench_json::run(seed, &bench_json::BenchConfig::default())?;
-            let json = bench_json::render(&doc);
-            std::fs::write(&opts.bench_out, &json)?;
-            println!("wrote {} ({} kernels):", opts.bench_out, doc.kernels.len());
-            print!("{json}");
+            let out = opts.out.as_deref().unwrap_or("DETECTORS.md");
+            std::fs::write(out, &md)?;
+            println!("wrote {out} ({} bytes)", md.len());
         }
         "fleet" => {
             // the acceptance-scale demo: a million resident detectors
@@ -298,98 +273,14 @@ fn run_one(name: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>>
             }
             print!("{}", fleet::render(&fleet::run(seed, &cfg)?));
         }
-        "fleet-json" => {
-            // CI scale by default, so the committed baseline regenerates
-            // quickly on any machine
-            let mut cfg = fleet::FleetBenchConfig::ci();
-            if let Some(n) = opts.fleet_series {
-                cfg.series = n;
-            }
-            let b = fleet::run(seed, &cfg)?;
-            let json = fleet::render_json(&b);
-            std::fs::write(&opts.fleet_out, &json)?;
-            println!("wrote {} ({} series):", opts.fleet_out, b.cfg.series);
-            print!("{json}");
-        }
-        "fleet-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("fleet-compare needs --fresh PATH\n{}", usage()))?;
-            match bench_compare::run_fleet_files(&opts.fleet_baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("fleet-compare gate failed".into());
-                }
-            }
-        }
         "loadgen" => match ingest_bench::run_loadgen(&opts.loadgen, seed) {
             Ok(report) => print!("{report}"),
             Err(e) => return Err(e.into()),
         },
-        "ingest-json" => {
-            let b = ingest_bench::run(seed, &ingest_bench::IngestBenchConfig::ci())?;
-            let json = ingest_bench::render_json(&b);
-            std::fs::write(&opts.ingest_out, &json)?;
-            println!(
-                "wrote {} ({} stages, {} transports):",
-                opts.ingest_out,
-                b.stages.len(),
-                b.loadgen.len()
-            );
-            print!("{}", ingest_bench::render(&b));
-        }
-        "ingest-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("ingest-compare needs --fresh PATH\n{}", usage()))?;
-            match bench_compare::run_ingest_files(&opts.ingest_baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("ingest-compare gate failed".into());
-                }
-            }
-        }
         "wal" => print!(
             "{}",
             wal_bench::render(&wal_bench::run(seed, &wal_bench::WalBenchConfig::ci())?)
         ),
-        "wal-json" => {
-            let b = wal_bench::run(seed, &wal_bench::WalBenchConfig::ci())?;
-            let json = wal_bench::render_json(&b);
-            std::fs::write(&opts.wal_out, &json)?;
-            println!("wrote {} ({} policies):", opts.wal_out, b.rows.len());
-            print!("{}", wal_bench::render(&b));
-        }
-        "wal-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("wal-compare needs --fresh PATH\n{}", usage()))?;
-            match bench_compare::run_wal_files(&opts.wal_baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("wal-compare gate failed".into());
-                }
-            }
-        }
-        "bench-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("bench-compare needs --fresh PATH\n{}", usage()))?;
-            match bench_compare::run_files(&opts.baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("bench-compare gate failed".into());
-                }
-            }
-        }
         "write-archive" => {
             let dir = std::env::temp_dir().join("tsad-ucr-archive");
             let rows = tsad_archive::manifest::build_and_write(&dir, seed, 30)?;
@@ -430,48 +321,9 @@ fn parse_options(args: &mut Vec<String>) -> Result<Options, String> {
         args.remove(pos);
         opts.obs_summary = true;
     }
-    if let Some(v) = take_value_flag(args, "--bench-out")? {
-        opts.bench_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--baseline")? {
-        opts.baseline = v;
-    }
-    opts.fresh = take_value_flag(args, "--fresh")?;
-    if let Some(v) = take_value_flag(args, "--faults-out")? {
-        opts.faults_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--faults-baseline")? {
-        opts.faults_baseline = v;
-    }
-    if let Some(v) = take_value_flag(args, "--catalog-out")? {
-        opts.catalog_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--catalog-baseline")? {
-        opts.catalog_baseline = v;
-    }
-    if let Some(v) = take_value_flag(args, "--detectors-out")? {
-        opts.detectors_out = v;
-    }
+    opts.out = take_value_flag(args, "--out")?;
     if let Some(v) = take_value_flag(args, "--fleet-series")? {
         opts.fleet_series = Some(v.parse().map_err(|e| format!("bad fleet series: {e}"))?);
-    }
-    if let Some(v) = take_value_flag(args, "--fleet-out")? {
-        opts.fleet_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--fleet-baseline")? {
-        opts.fleet_baseline = v;
-    }
-    if let Some(v) = take_value_flag(args, "--ingest-out")? {
-        opts.ingest_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--ingest-baseline")? {
-        opts.ingest_baseline = v;
-    }
-    if let Some(v) = take_value_flag(args, "--wal-out")? {
-        opts.wal_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--wal-baseline")? {
-        opts.wal_baseline = v;
     }
     opts.loadgen.addr = take_value_flag(args, "--addr")?;
     if let Some(v) = take_value_flag(args, "--series")? {
@@ -508,46 +360,27 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.is_empty() {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    }
-    let list: Vec<String> = if args.iter().any(|a| a == "all") {
-        EXPERIMENTS
+    let outcome = match args.first().map(String::as_str) {
+        None => Err(usage()),
+        Some("bench") => run_bench(&args, &opts),
+        Some("compare") => match args.as_slice() {
+            [_, base, fresh] => compare_files(base, fresh),
+            _ => Err(format!("compare takes BASE FRESH\n{}", usage())),
+        },
+        Some(_) if args.iter().any(|a| a == "all") => EXPERIMENTS
             .iter()
             .filter(|e| {
                 !matches!(
                     **e,
-                    "fig12"
-                        | "write-archive"
-                        | "bench-json"
-                        | "bench-compare"
-                        | "faults-json"
-                        | "faults-compare"
-                        | "catalog-json"
-                        | "catalog-compare"
-                        | "detectors-md"
-                        | "fleet"
-                        | "fleet-json"
-                        | "fleet-compare"
-                        | "loadgen"
-                        | "ingest-json"
-                        | "ingest-compare"
-                        | "wal"
-                        | "wal-json"
-                        | "wal-compare"
+                    "fig12" | "write-archive" | "detectors-md" | "fleet" | "loadgen" | "wal"
                 )
             })
-            .map(|s| s.to_string())
-            .collect()
-    } else {
-        args
+            .try_for_each(|name| run_experiment(name, &opts)),
+        Some(_) => args.iter().try_for_each(|name| run_experiment(name, &opts)),
     };
-    for name in &list {
-        if let Err(e) = run_one(name, &opts) {
-            eprintln!("experiment {name} failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = outcome {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
     if opts.obs_summary {
         eprint!("{}", tsad_obs::render_summary(&tsad_obs::snapshot()));

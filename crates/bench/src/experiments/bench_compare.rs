@@ -1,1281 +1,589 @@
-//! `bench-compare` / `fleet-compare` / `ingest-compare` — perf-regression
-//! gating against the committed baselines.
-//!
-//! Each comparator reads two rendered documents — the checked-in baseline
-//! and a freshly generated run — and applies the shared gates from
-//! [`crate::gate`]:
-//!
-//! * **Wall time**: a fresh single-thread number more than
-//!   [`MAX_WALL_RATIO`]× the baseline fails. The 1-thread column is
-//!   compared because it is the least scheduler-sensitive number the
-//!   document has; the generous threshold absorbs CI-runner noise while
-//!   still catching real (2×-style) regressions.
-//! * **Allocations** (for measurements with allocation-free contracts):
-//!   any nonzero count or a vanished measurement fails; allocation counts
-//!   are exact and portable, so this gate has no noise margin at all.
-//! * **Coverage**: a baseline row missing from the fresh run fails (a
-//!   silently dropped kernel must not pass the gate); a fresh-only row is
-//!   reported but allowed (that is what adding a kernel looks like).
-//! * **Schema**: the two documents must carry the *same* schema string —
-//!   drift is an explicit regenerate-the-baseline error, not a confusing
-//!   missing-field failure downstream.
-//!
-//! The ingest comparator additionally gates the per-stage p99 latencies
-//! **absolutely** against the crate's budgets ([`tsad_ingest::BUDGET_PARSE_NS`]
-//! and friends, widened to the containing log2 histogram bucket bound), and
-//! loopback loadgen throughput relatively with a wider margin
-//! ([`MAX_RPS_DROP`]) because socket numbers are noisier than in-process
-//! ones.
-//!
-//! The CLI (`repro -- bench-compare|fleet-compare|ingest-compare`) prints
-//! the delta table and exits nonzero when any check fails; CI runs each in
-//! its smoke job against a fresh run written to a temp path, so the
-//! committed baselines stay authoritative.
-
-pub use crate::gate::{render, CompareReport, CompareRow, MAX_WALL_RATIO};
-
-use crate::gate::{
-    gate_exact_zero_allocs, gate_wall_ratio, note_dispatch_drift, parse_same_schema,
-};
-use crate::minijson::JsonValue;
-
-/// Kernels with an allocation-free contract (`allocs_per_iter == 0`).
-pub const GATED_KERNELS: [&str; 3] = ["sliding_dot_product", "stomp", "merlin"];
-
-struct KernelNumbers {
-    name: String,
-    ns_1t: Option<u64>,
-    allocs: Option<u64>,
-    dispatch: Option<String>,
-    lane_width: Option<u64>,
-}
-
-fn extract_kernels(doc_name: &str, doc: &JsonValue) -> Result<Vec<KernelNumbers>, String> {
-    let kernels = doc
-        .get("kernels")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("{doc_name}: missing \"kernels\" array"))?;
-    kernels
-        .iter()
-        .map(|k| {
-            let name = k
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("{doc_name}: kernel without a name"))?
-                .to_string();
-            Ok(KernelNumbers {
-                ns_1t: k
-                    .get("median_ns_per_iter_1_thread")
-                    .and_then(JsonValue::as_u64),
-                allocs: k.get("allocs_per_iter").and_then(JsonValue::as_u64),
-                dispatch: k
-                    .get("dispatch")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string),
-                lane_width: k.get("lane_width").and_then(JsonValue::as_u64),
-                name,
-            })
-        })
-        .collect()
-}
-
-/// Compares two rendered kernel documents. `max_ratio` is the wall-time
-/// gate (pass [`MAX_WALL_RATIO`] outside tests). Errors are malformed
-/// inputs; regression *failures* come back inside the report.
-pub fn compare(baseline: &str, fresh: &str, max_ratio: f64) -> Result<CompareReport, String> {
-    let (base_doc, new_doc) = parse_same_schema(
-        baseline,
-        fresh,
-        "tsad-bench-kernels/",
-        "repro -- bench-json",
-    )?;
-    let base = extract_kernels("baseline", &base_doc)?;
-    let new = extract_kernels("fresh", &new_doc)?;
-    let mut report = CompareReport::default();
-
-    for b in &base {
-        let f = new.iter().find(|k| k.name == b.name);
-        let mut row = CompareRow {
-            name: b.name.clone(),
-            base_ns: b.ns_1t,
-            fresh_ns: f.and_then(|k| k.ns_1t),
-            ratio: None,
-            base_allocs: b.allocs,
-            fresh_allocs: f.and_then(|k| k.allocs),
-        };
-        let Some(f) = f else {
-            report.failures.push(format!(
-                "{}: present in baseline but missing from fresh run",
-                b.name
-            ));
-            report.rows.push(row);
-            continue;
-        };
-        row.ratio = gate_wall_ratio(&mut report, &b.name, b.ns_1t, f.ns_1t, max_ratio);
-        note_dispatch_drift(
-            &mut report,
-            &b.name,
-            b.dispatch.as_deref(),
-            b.lane_width,
-            f.dispatch.as_deref(),
-            f.lane_width,
-        );
-        if GATED_KERNELS.contains(&b.name.as_str()) {
-            gate_exact_zero_allocs(&mut report, &b.name, "allocs_per_iter", b.allocs, f.allocs);
-        }
-        report.rows.push(row);
-    }
-
-    for f in &new {
-        if !base.iter().any(|b| b.name == f.name) {
-            report
-                .notes
-                .push(format!("{}: new kernel, not in baseline (allowed)", f.name));
-            report.rows.push(CompareRow {
-                name: f.name.clone(),
-                base_ns: None,
-                fresh_ns: f.ns_1t,
-                ratio: None,
-                base_allocs: None,
-                fresh_allocs: f.allocs,
-            });
-        }
-    }
-    Ok(report)
-}
-
-/// Reads both files and runs the gate; `Err` for unreadable/malformed
-/// inputs or a failed gate (message includes the table).
-pub fn run_files(baseline_path: &str, fresh_path: &str) -> Result<String, String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let fresh = std::fs::read_to_string(fresh_path)
-        .map_err(|e| format!("cannot read fresh run {fresh_path}: {e}"))?;
-    let report = compare(&baseline, &fresh, MAX_WALL_RATIO)?;
-    let table = render(&report);
-    if report.passed() {
-        Ok(table)
-    } else {
-        Err(table)
-    }
-}
-
-// ─── fleet gate (BENCH_fleet.json, schema tsad-bench-fleet/v2) ──────────
-
-/// Fresh `bytes_per_series` may be at most this multiple of the baseline
-/// (the accounted footprint is deterministic, so the margin only covers
-/// deliberate, reviewed growth of detector state).
-pub const MAX_BYTES_PER_SERIES_RATIO: f64 = 1.10;
-
-/// The fleet numbers one document contributes to the gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetNumbers {
-    /// Series count (geometry must match to compare at all).
-    pub series: u64,
-    /// Shard count.
-    pub shards: u64,
-    /// Median ns per full round at 1 thread.
-    pub ns_1t: Option<u64>,
-    /// Steady-state allocations per point (`None` = not measured).
-    pub allocs_per_point: Option<u64>,
-    /// Accounted bytes per resident series.
-    pub bytes_per_series: Option<u64>,
-    /// Whether suspend/resume reproduced bitwise.
-    pub bitwise: Option<bool>,
-    /// SIMD backend the run dispatched to.
-    pub dispatch: Option<String>,
-    /// f64 lanes of that backend.
-    pub lane_width: Option<u64>,
-}
-
-fn extract_fleet(doc_name: &str, doc: &JsonValue) -> Result<FleetNumbers, String> {
-    let u64_field = |key: &str| doc.get(key).and_then(JsonValue::as_u64);
-    Ok(FleetNumbers {
-        series: u64_field("series").ok_or_else(|| format!("{doc_name}: missing \"series\""))?,
-        shards: u64_field("shards").ok_or_else(|| format!("{doc_name}: missing \"shards\""))?,
-        ns_1t: u64_field("median_ns_per_round_1_thread"),
-        allocs_per_point: u64_field("allocs_per_point"),
-        bytes_per_series: u64_field("bytes_per_series"),
-        bitwise: doc
-            .get("suspend_resume_bitwise")
-            .and_then(JsonValue::as_bool),
-        dispatch: doc
-            .get("dispatch")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string),
-        lane_width: u64_field("lane_width"),
-    })
-}
-
-/// Compares two `BENCH_fleet.json` documents: schema strings must be
-/// identical, geometry must match, wall time is gated relatively (like the
-/// kernels), `allocs_per_point` exactly to zero, `bytes_per_series` to at
-/// most [`MAX_BYTES_PER_SERIES_RATIO`]×, `suspend_resume_bitwise` must be
-/// `true` in the fresh run, and a SIMD dispatch drift is noted.
-pub fn compare_fleet(baseline: &str, fresh: &str, max_ratio: f64) -> Result<CompareReport, String> {
-    let (base_doc, new_doc) =
-        parse_same_schema(baseline, fresh, "tsad-bench-fleet/", "repro -- fleet-json")?;
-    let base = extract_fleet("baseline", &base_doc)?;
-    let new = extract_fleet("fresh", &new_doc)?;
-    let mut report = CompareReport::default();
-
-    if (base.series, base.shards) != (new.series, new.shards) {
-        report.failures.push(format!(
-            "fleet geometry changed: baseline {}x{} series/shards, fresh {}x{} \
-             (regenerate the committed baseline)",
-            base.series, base.shards, new.series, new.shards
-        ));
-    }
-    let mut row = CompareRow {
-        name: "fleet_ingest_round".to_string(),
-        base_ns: base.ns_1t,
-        fresh_ns: new.ns_1t,
-        ratio: None,
-        base_allocs: base.allocs_per_point,
-        fresh_allocs: new.allocs_per_point,
-    };
-    row.ratio = gate_wall_ratio(
-        &mut report,
-        "fleet ingest",
-        base.ns_1t,
-        new.ns_1t,
-        max_ratio,
-    );
-    gate_exact_zero_allocs(
-        &mut report,
-        "fleet ingest",
-        "allocs_per_point",
-        base.allocs_per_point,
-        new.allocs_per_point,
-    );
-    note_dispatch_drift(
-        &mut report,
-        "fleet ingest",
-        base.dispatch.as_deref(),
-        base.lane_width,
-        new.dispatch.as_deref(),
-        new.lane_width,
-    );
-    match (base.bytes_per_series, new.bytes_per_series) {
-        (Some(b), Some(f)) if b > 0 => {
-            let ratio = f as f64 / b as f64;
-            if ratio > MAX_BYTES_PER_SERIES_RATIO {
-                report.failures.push(format!(
-                    "fleet footprint: bytes_per_series grew {ratio:.2}x ({b} -> {f}, \
-                     limit {MAX_BYTES_PER_SERIES_RATIO:.2}x)"
-                ));
-            }
-        }
-        _ => report
-            .notes
-            .push("fleet footprint: bytes_per_series not comparable".to_string()),
-    }
-    match new.bitwise {
-        Some(true) => {}
-        Some(false) => report
-            .failures
-            .push("fleet checkpoint: suspend_resume_bitwise is false".to_string()),
-        None => report
-            .failures
-            .push("fleet checkpoint: suspend_resume_bitwise missing from fresh run".to_string()),
-    }
-    report.rows.push(row);
-    Ok(report)
-}
-
-/// Reads both fleet documents and runs the gate; `Err` for
-/// unreadable/malformed inputs or a failed gate.
-pub fn run_fleet_files(baseline_path: &str, fresh_path: &str) -> Result<String, String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read fleet baseline {baseline_path}: {e}"))?;
-    let fresh = std::fs::read_to_string(fresh_path)
-        .map_err(|e| format!("cannot read fresh fleet run {fresh_path}: {e}"))?;
-    let report = compare_fleet(&baseline, &fresh, MAX_WALL_RATIO)?;
-    let table = render(&report);
-    if report.passed() {
-        Ok(table)
-    } else {
-        Err(table)
-    }
-}
-
-// ─── ingest gate (BENCH_ingest.json, schema tsad-bench-ingest/v1) ───────
-
-/// Loopback loadgen throughput may drop to at most `1/MAX_RPS_DROP` of the
-/// baseline: socket numbers bounce more than in-process medians, so the
-/// relative margin is wider than [`MAX_WALL_RATIO`].
-pub const MAX_RPS_DROP: f64 = 1.5;
-
-/// The stages whose fresh p99 is gated absolutely against the crate's
-/// latency budgets, as `(stage name, budget field)` pairs.
-const BUDGETED_STAGES: [(&str, &str); 3] = [
-    ("parse", "budget_parse_ns"),
-    ("route", "budget_route_ns"),
-    ("overhead", "budget_overhead_ns"),
-];
-
-struct StageNumbers {
-    stage: String,
-    p99_ns: Option<u64>,
-    count: Option<u64>,
-}
-
-fn extract_stages(doc_name: &str, doc: &JsonValue) -> Result<Vec<StageNumbers>, String> {
-    let stages = doc
-        .get("stages")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("{doc_name}: missing \"stages\" array"))?;
-    stages
-        .iter()
-        .map(|s| {
-            let stage = s
-                .get("stage")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("{doc_name}: stage without a name"))?
-                .to_string();
-            Ok(StageNumbers {
-                p99_ns: s.get("p99_ns").and_then(JsonValue::as_u64),
-                count: s.get("count").and_then(JsonValue::as_u64),
-                stage,
-            })
-        })
-        .collect()
-}
-
-/// Compares two `BENCH_ingest.json` documents.
-///
-/// Gated: schema equality, request-geometry equality (`batch_points`), the
-/// fresh per-stage p99 against the **absolute** latency budgets the
-/// document itself carries (widened to [`tsad_ingest::budget_bound`], the
-/// containing log2-bucket upper bound, because the histogram quantile
-/// overestimates by at most one bucket), `allocs_per_request` exactly to
-/// zero, loadgen `errors` exactly to zero, and per-transport loopback
-/// throughput relatively via [`MAX_RPS_DROP`]. The per-stage ratio columns
-/// are informational — sub-10μs medians are too jittery for a relative
-/// gate; the budgets are the contract.
-pub fn compare_ingest(baseline: &str, fresh: &str) -> Result<CompareReport, String> {
-    let (base_doc, new_doc) = parse_same_schema(
-        baseline,
-        fresh,
-        "tsad-bench-ingest/",
-        "repro -- ingest-json",
-    )?;
-    let mut report = CompareReport::default();
-
-    let geometry = |doc: &JsonValue| {
-        (
-            doc.get("batch_points").and_then(JsonValue::as_u64),
-            doc.get("series").and_then(JsonValue::as_u64),
-        )
-    };
-    if geometry(&base_doc) != geometry(&new_doc) {
-        report.failures.push(format!(
-            "ingest geometry changed: baseline {:?} batch_points/series, fresh {:?} \
-             (regenerate the committed baseline)",
-            geometry(&base_doc),
-            geometry(&new_doc)
-        ));
-    }
-    note_dispatch_drift(
-        &mut report,
-        "ingest",
-        base_doc.get("dispatch").and_then(JsonValue::as_str),
-        base_doc.get("lane_width").and_then(JsonValue::as_u64),
-        new_doc.get("dispatch").and_then(JsonValue::as_str),
-        new_doc.get("lane_width").and_then(JsonValue::as_u64),
-    );
-
-    // per-stage rows: informational ratios, absolute budget gates
-    let base_stages = extract_stages("baseline", &base_doc)?;
-    let new_stages = extract_stages("fresh", &new_doc)?;
-    for b in &base_stages {
-        let f = new_stages.iter().find(|s| s.stage == b.stage);
-        let mut row = CompareRow {
-            name: format!("ingest_{}_p99", b.stage),
-            base_ns: b.p99_ns,
-            fresh_ns: f.and_then(|s| s.p99_ns),
-            ratio: None,
-            base_allocs: None,
-            fresh_allocs: None,
-        };
-        let Some(f) = f else {
-            report.failures.push(format!(
-                "ingest stage {}: present in baseline but missing from fresh run",
-                b.stage
-            ));
-            report.rows.push(row);
-            continue;
-        };
-        if let (Some(bn), Some(fn_)) = (b.p99_ns, f.p99_ns) {
-            if bn > 0 {
-                row.ratio = Some(fn_ as f64 / bn as f64);
-            }
-        }
-        if f.count == Some(0) {
-            report.failures.push(format!(
-                "ingest stage {}: zero samples in fresh run",
-                b.stage
-            ));
-        }
-        report.rows.push(row);
-    }
-    for (stage, budget_field) in BUDGETED_STAGES {
-        let budget = new_doc
-            .get(budget_field)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("fresh: missing \"{budget_field}\""))?;
-        let bound = tsad_ingest::budget_bound(budget);
-        let Some(p99) = new_stages
-            .iter()
-            .find(|s| s.stage == stage)
-            .and_then(|s| s.p99_ns)
-        else {
-            report
-                .failures
-                .push(format!("ingest stage {stage}: p99 missing from fresh run"));
-            continue;
-        };
-        if p99 > bound {
-            report.failures.push(format!(
-                "ingest stage {stage}: p99 {p99} ns busts the {budget} ns budget \
-                 (bucket bound {bound} ns)"
-            ));
-        }
-    }
-
-    gate_exact_zero_allocs(
-        &mut report,
-        "ingest request path",
-        "allocs_per_request",
-        base_doc
-            .get("allocs_per_request")
-            .and_then(JsonValue::as_u64),
-        new_doc
-            .get("allocs_per_request")
-            .and_then(JsonValue::as_u64),
-    );
-
-    // Loopback throughput per transport: relative, wide margin — but
-    // only when both documents were produced with the same worker
-    // count. `TSAD_THREADS` resizes the server's worker set, so rps
-    // across different thread counts is not a regression signal (the
-    // CI matrix runs at TSAD_THREADS=1 and 4 against one committed
-    // baseline). Error counts and the absolute budgets gate regardless.
-    let threads = |doc: &JsonValue| doc.get("host_threads").and_then(JsonValue::as_u64);
-    let rps_comparable = match (threads(&base_doc), threads(&new_doc)) {
-        (Some(b), Some(f)) if b == f => true,
-        (Some(b), Some(f)) => {
-            report.notes.push(format!(
-                "loadgen throughput not gated: host_threads {b} (baseline) vs {f} (fresh)"
-            ));
-            false
-        }
-        _ => false,
-    };
-    struct LoadRun {
-        transport: String,
-        rps: Option<u64>,
-        errors: Option<u64>,
-    }
-    let loadgen = |doc: &JsonValue, name: &str| -> Result<Vec<LoadRun>, String> {
-        let runs = doc
-            .get("loadgen")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| format!("{name}: missing \"loadgen\" array"))?;
-        runs.iter()
-            .map(|r| {
-                let transport = r
-                    .get("transport")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| format!("{name}: loadgen run without a transport"))?
-                    .to_string();
-                Ok(LoadRun {
-                    transport,
-                    rps: r.get("rps").and_then(JsonValue::as_u64),
-                    errors: r.get("errors").and_then(JsonValue::as_u64),
-                })
-            })
-            .collect()
-    };
-    let base_runs = loadgen(&base_doc, "baseline")?;
-    let new_runs = loadgen(&new_doc, "fresh")?;
-    for run in &base_runs {
-        let (transport, base_rps) = (&run.transport, &run.rps);
-        let Some(fresh) = new_runs.iter().find(|r| &r.transport == transport) else {
-            report.failures.push(format!(
-                "loadgen {transport}: present in baseline but missing from fresh run"
-            ));
-            continue;
-        };
-        let (fresh_rps, fresh_errors) = (&fresh.rps, &fresh.errors);
-        match fresh_errors {
-            Some(0) => {}
-            Some(n) => report.failures.push(format!(
-                "loadgen {transport}: {n} request errors (contract: 0)"
-            )),
-            None => report.failures.push(format!(
-                "loadgen {transport}: errors missing from fresh run"
-            )),
-        }
-        match (base_rps, fresh_rps) {
-            (Some(b), Some(f)) if *b > 0 => {
-                let drop = *b as f64 / (*f).max(1) as f64;
-                if rps_comparable && drop > MAX_RPS_DROP {
-                    report.failures.push(format!(
-                        "loadgen {transport}: throughput dropped {drop:.2}x \
-                         ({b} -> {f} req/s, limit {MAX_RPS_DROP:.2}x)"
-                    ));
-                }
-                report
-                    .notes
-                    .push(format!("loadgen {transport}: {b} -> {f} req/s on loopback"));
-            }
-            _ => report
-                .notes
-                .push(format!("loadgen {transport}: throughput not comparable")),
-        }
-    }
-    Ok(report)
-}
-
-/// Reads both ingest documents and runs the gate; `Err` for
-/// unreadable/malformed inputs or a failed gate.
-pub fn run_ingest_files(baseline_path: &str, fresh_path: &str) -> Result<String, String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read ingest baseline {baseline_path}: {e}"))?;
-    let fresh = std::fs::read_to_string(fresh_path)
-        .map_err(|e| format!("cannot read fresh ingest run {fresh_path}: {e}"))?;
-    let report = compare_ingest(&baseline, &fresh)?;
-    let table = render(&report);
-    if report.passed() {
-        Ok(table)
-    } else {
-        Err(table)
-    }
-}
-
-// ─── wal gate (BENCH_wal.json, schema tsad-bench-wal/v1) ────────────────
-
-struct WalPolicyNumbers {
-    policy: String,
-    wall_ns: Option<u64>,
-    allocs: Option<u64>,
-}
-
-fn extract_wal_policies(doc_name: &str, doc: &JsonValue) -> Result<Vec<WalPolicyNumbers>, String> {
-    let rows = doc
-        .get("policies")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("{doc_name}: missing \"policies\" array"))?;
-    rows.iter()
-        .map(|r| {
-            let policy = r
-                .get("policy")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("{doc_name}: policy row without a name"))?
-                .to_string();
-            Ok(WalPolicyNumbers {
-                wall_ns: r.get("wall_ns_per_batch").and_then(JsonValue::as_u64),
-                allocs: r.get("allocs_per_batch").and_then(JsonValue::as_u64),
-                policy,
-            })
-        })
-        .collect()
-}
-
-/// Compares two `BENCH_wal.json` documents.
-///
-/// Gated: schema equality, workload-geometry equality
-/// (`batches`/`batch_points`/`segment_bytes`), append wall time relatively
-/// for the **fsync-free** policy only (the `per-batch` and `group` rows
-/// are dominated by fsync latency, which is a property of the CI runner's
-/// disk, not of the code — their ratios are informational),
-/// `allocs_per_batch` exactly to zero for every policy, and the recovery
-/// booleans absolutely: a fresh run whose torn-tail recovery is not
-/// bitwise-faithful fails regardless of what the baseline says.
-pub fn compare_wal(baseline: &str, fresh: &str, max_ratio: f64) -> Result<CompareReport, String> {
-    let (base_doc, new_doc) =
-        parse_same_schema(baseline, fresh, "tsad-bench-wal/", "repro -- wal-json")?;
-    let mut report = CompareReport::default();
-
-    let geometry = |doc: &JsonValue| {
-        (
-            doc.get("batches").and_then(JsonValue::as_u64),
-            doc.get("batch_points").and_then(JsonValue::as_u64),
-            doc.get("segment_bytes").and_then(JsonValue::as_u64),
-        )
-    };
-    if geometry(&base_doc) != geometry(&new_doc) {
-        report.failures.push(format!(
-            "wal geometry changed: baseline {:?} batches/batch_points/segment_bytes, \
-             fresh {:?} (regenerate the committed baseline)",
-            geometry(&base_doc),
-            geometry(&new_doc)
-        ));
-    }
-
-    let base = extract_wal_policies("baseline", &base_doc)?;
-    let new = extract_wal_policies("fresh", &new_doc)?;
-    for b in &base {
-        let f = new.iter().find(|p| p.policy == b.policy);
-        let name = format!("wal_append_{}", b.policy);
-        let mut row = CompareRow {
-            name: name.clone(),
-            base_ns: b.wall_ns,
-            fresh_ns: f.and_then(|p| p.wall_ns),
-            ratio: None,
-            base_allocs: b.allocs,
-            fresh_allocs: f.and_then(|p| p.allocs),
-        };
-        let Some(f) = f else {
-            report.failures.push(format!(
-                "{name}: present in baseline but missing from fresh run"
-            ));
-            report.rows.push(row);
-            continue;
-        };
-        if b.policy == "off" {
-            row.ratio = gate_wall_ratio(&mut report, &name, b.wall_ns, f.wall_ns, max_ratio);
-        } else if let (Some(bn), Some(fn_)) = (b.wall_ns, f.wall_ns) {
-            // fsync-bound rows: the ratio is runner-disk news, not a gate
-            if bn > 0 {
-                row.ratio = Some(fn_ as f64 / bn as f64);
-            }
-        }
-        gate_exact_zero_allocs(&mut report, &name, "allocs_per_batch", b.allocs, f.allocs);
-        report.rows.push(row);
-    }
-
-    let recovery = new_doc
-        .get("recovery")
-        .ok_or_else(|| "fresh: missing \"recovery\" object".to_string())?;
-    for (field, label) in [
-        ("bitwise", "recovered state not bitwise-equal"),
-        ("torn_tail_truncated", "torn tail not repaired"),
-    ] {
-        match recovery.get(field).and_then(JsonValue::as_bool) {
-            Some(true) => {}
-            Some(false) => report
-                .failures
-                .push(format!("wal recovery: {label} ({field} is false)")),
-            None => report
-                .failures
-                .push(format!("wal recovery: {field} missing from fresh run")),
-        }
-    }
-    match recovery.get("replayed_batches").and_then(JsonValue::as_u64) {
-        Some(n) if n > 0 => report.notes.push(format!(
-            "wal recovery: replayed {n} batches past a torn tail"
-        )),
-        _ => report
-            .failures
-            .push("wal recovery: fresh run replayed zero batches".to_string()),
-    }
-    Ok(report)
-}
-
-/// Reads both WAL documents and runs the gate; `Err` for
-/// unreadable/malformed inputs or a failed gate.
-pub fn run_wal_files(baseline_path: &str, fresh_path: &str) -> Result<String, String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read wal baseline {baseline_path}: {e}"))?;
-    let fresh = std::fs::read_to_string(fresh_path)
-        .map_err(|e| format!("cannot read fresh wal run {fresh_path}: {e}"))?;
-    let report = compare_wal(&baseline, &fresh, MAX_WALL_RATIO)?;
-    let table = render(&report);
-    if report.passed() {
-        Ok(table)
-    } else {
-        Err(table)
-    }
-}
+//! Injected-regression tests of the one comparator, [`crate::gate::compare`],
+//! against each suite's real rows: every gate a suite declares is broken
+//! once on purpose and must fail, and every tolerated drift must pass.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::experiments::bench_json::{render as render_bench, run as run_bench, BenchConfig};
+    use crate::experiments::{bench_json, catalog, faults, fleet, ingest_bench, wal_bench};
+    use crate::gate::{compare, CompareReport, Doc, Gate, MAX_WALL_RATIO};
+    use crate::minijson::JsonValue;
 
-    fn doc_with_merlin(stomp_ns: u64, stomp_allocs: &str, merlin_allocs: &str) -> String {
-        format!(
-            r#"{{
-  "schema": "tsad-bench-kernels/v4",
-  "seed": 42,
-  "threads": 4,
-  "host_threads": 1,
-  "kernels": [
-    {{
-      "name": "stomp",
-      "params": "n=4096, m=128",
-      "iters": 5,
-      "median_ns_per_iter_1_thread": {stomp_ns},
-      "median_ns_per_iter_4_threads": {stomp_ns},
-      "allocs_per_iter": {stomp_allocs},
-      "speedup": null,
-      "dispatch": "avx2",
-      "lane_width": 4,
-      "obs": {{"schema": "tsad-obs/v1", "counters": {{}}, "gauges": {{}}, "histograms": {{}}}}
-    }},
-    {{
-      "name": "merlin",
-      "params": "n=800",
-      "iters": 5,
-      "median_ns_per_iter_1_thread": 1000000,
-      "median_ns_per_iter_4_threads": 900000,
-      "allocs_per_iter": {merlin_allocs},
-      "speedup": null,
-      "dispatch": "avx2",
-      "lane_width": 4,
-      "obs": {{"schema": "tsad-obs/v1", "counters": {{}}, "gauges": {{}}, "histograms": {{}}}}
-    }}
-  ]
-}}"#
-        )
+    fn kernels() -> Doc {
+        bench_json::tests::smoke_doc().clone()
     }
 
-    fn doc(stomp_ns: u64, stomp_allocs: &str) -> String {
-        doc_with_merlin(stomp_ns, stomp_allocs, "0")
+    fn fleet_doc() -> Doc {
+        fleet::to_doc(fleet::tests::smoke())
+    }
+
+    fn ingest_doc() -> Doc {
+        ingest_bench::to_doc(ingest_bench::tests::smoke())
+    }
+
+    fn wal_doc() -> Doc {
+        wal_bench::to_doc(wal_bench::tests::smoke())
+    }
+
+    /// `doc` with row (`case`, `metric`) set to `value`.
+    fn with(doc: &Doc, case: &str, metric: &str, value: impl Into<JsonValue>) -> Doc {
+        let mut out = doc.clone();
+        let row = out
+            .rows
+            .iter_mut()
+            .find(|r| r.case == case && r.metric == metric)
+            .unwrap_or_else(|| panic!("no row {case}/{metric}"));
+        row.value = value.into();
+        out
+    }
+
+    /// `doc` with row (`case`, `metric`) scaled by `factor`.
+    fn scaled(doc: &Doc, case: &str, metric: &str, factor: f64) -> Doc {
+        let v = doc.row(case, metric).unwrap().value.as_f64().unwrap();
+        with(doc, case, metric, (v * factor).round().max(1.0))
+    }
+
+    fn without_case(doc: &Doc, case: &str) -> Doc {
+        let mut out = doc.clone();
+        out.rows.retain(|r| r.case != case);
+        out
+    }
+
+    fn gate(base: &Doc, fresh: &Doc) -> CompareReport {
+        compare(&base.render(), &fresh.render()).expect("well-formed documents")
+    }
+
+    fn fails_on(report: &CompareReport, needle: &str) -> bool {
+        report.failures.iter().any(|f| f.contains(needle))
+    }
+
+    /// Asserts `doc` gates exactly the `expected` rows as listed and
+    /// records every other row as `info`.
+    fn assert_gates(doc: &Doc, expected: &[(&str, &str, Gate)]) {
+        for &(case, metric, g) in expected {
+            let row = doc
+                .row(case, metric)
+                .unwrap_or_else(|| panic!("{}: no row {case}/{metric}", doc.suite));
+            assert_eq!(row.gate, g, "{}: {case}/{metric}", doc.suite);
+        }
+        for r in &doc.rows {
+            if !expected
+                .iter()
+                .any(|&(c, m, _)| c == r.case && m == r.metric)
+            {
+                assert_eq!(r.gate, Gate::Info, "{}: {}/{}", doc.suite, r.case, r.metric);
+            }
+        }
+    }
+
+    // ─── kernels ────────────────────────────────────────────────────────
+
+    #[test]
+    fn a_real_bench_run_compares_clean_against_itself() {
+        let k = kernels();
+        let report = gate(&k, &k);
+        assert!(report.passed(), "{:?}", report.failures);
+        assert_eq!(report.rows.len(), k.rows.len());
+    }
+
+    #[test]
+    fn kernels_contract_rows_carry_the_expected_gates() {
+        let mut expected = Vec::new();
+        for k in [
+            "stomp",
+            "merlin",
+            "sliding_dot_product",
+            "streaming_replay_left_discord",
+        ] {
+            expected.push((k, "wall_ns_1t", Gate::WALL));
+            expected.push((k, "obs_recorded", Gate::MustBeTrue));
+        }
+        for k in bench_json::GATED_KERNELS {
+            expected.push((k, "allocs_per_iter", Gate::Exact));
+        }
+        let doc = kernels();
+        assert_gates(&doc, &expected);
+        for info in [
+            "mass",
+            "hotsax",
+            "telemanom",
+            "scoring_protocols",
+            "streaming_ports",
+            "archive_generate",
+            "archive_validate",
+            "archive_contest",
+            "table1_search",
+            "fig8",
+            "fig13",
+        ] {
+            assert_eq!(doc.row(info, "wall_ns").unwrap().gate, Gate::Info, "{info}");
+        }
     }
 
     #[test]
     fn identical_documents_pass() {
-        let base = doc(22_000_000, "0");
-        let report = compare(&base, &base, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert_eq!(report.rows.len(), 2);
-        assert!((report.rows[0].ratio.unwrap() - 1.0).abs() < 1e-12);
-        let table = render(&report);
-        assert!(table.contains("PASS"));
-        assert!(table.contains("stomp"));
-        assert!(table.contains("1.00x"));
+        // the writer is byte-stable through a parse
+        let text = kernels().render();
+        let reparsed = Doc::parse(&text).unwrap();
+        assert_eq!(
+            reparsed.render().split("\"obs\"").next(),
+            text.split("\"obs\"").next()
+        );
+        assert!(compare(&text, &text).unwrap().passed());
     }
 
     #[test]
     fn injected_2x_slowdown_fails_the_gate() {
-        let base = doc(22_000_000, "0");
-        let slow = doc(44_000_000, "0"); // synthetic 2x wall-time regression
-        let report = compare(&base, &slow, MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
+        let k = kernels();
+        let report = gate(&k, &scaled(&k, "stomp", "wall_ns_1t", 2.0));
         assert!(
-            report.failures.iter().any(|f| f.contains("2.00x")),
-            "failures: {:?}",
-            report.failures
+            fails_on(&report, "stomp/wall_ns_1t: regression 2.00x"),
+            "{report:?}"
         );
-        assert!(render(&report).contains("FAIL"));
-        // and the mirror image (a 2x speedup) passes
-        let report = compare(&slow, &base, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
+        // the parallel column is information, not a gate
+        assert!(gate(&k, &scaled(&k, "stomp", "wall_ns_4t", 10.0)).passed());
     }
 
     #[test]
     fn small_jitter_within_the_margin_passes() {
-        let base = doc(22_000_000, "0");
-        let jitter = doc(26_000_000, "0"); // +18%, inside the 30% margin
-        let report = compare(&base, &jitter, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
+        let k = kernels();
+        let fresh = scaled(&k, "merlin", "wall_ns_1t", 1.2);
+        let fresh = scaled(&fresh, "stomp", "wall_ns_1t", 0.7);
+        assert!(gate(&k, &fresh).passed());
     }
 
     #[test]
     fn alloc_increase_on_a_gated_kernel_fails() {
-        let base = doc(22_000_000, "0");
-        for bad in ["1", "null"] {
-            let report = compare(&base, &doc(22_000_000, bad), MAX_WALL_RATIO).unwrap();
-            assert!(!report.passed(), "allocs {bad} passed");
-            assert!(
-                report
-                    .failures
-                    .iter()
-                    .any(|f| f.contains("allocs_per_iter")),
-                "failures: {:?}",
-                report.failures
-            );
-        }
-        // merlin is gated too since its buffers moved into scratch pools
-        for bad in ["1", "null"] {
-            let report = compare(
-                &base,
-                &doc_with_merlin(22_000_000, "0", bad),
-                MAX_WALL_RATIO,
-            )
-            .unwrap();
-            assert!(!report.passed(), "merlin allocs {bad} passed");
-            assert!(report
-                .failures
-                .iter()
-                .any(|f| f.contains("merlin") && f.contains("allocs_per_iter")));
-        }
-    }
-
-    #[test]
-    fn schema_drift_is_a_clear_error_not_a_parse_failure() {
-        let base = doc(22_000_000, "0").replace("tsad-bench-kernels/v4", "tsad-bench-kernels/v3");
-        let err = compare(&base, &doc(22_000_000, "0"), MAX_WALL_RATIO).unwrap_err();
-        assert!(err.contains("schema mismatch"), "unhelpful error: {err}");
-        assert!(err.contains("tsad-bench-kernels/v3"));
-        assert!(err.contains("tsad-bench-kernels/v4"));
-        assert!(err.contains("regenerate"), "no fix hint in: {err}");
-    }
-
-    #[test]
-    fn dispatch_drift_is_noted_but_passes() {
-        let base = doc(22_000_000, "0");
-        let scalar = base
-            .replace("\"dispatch\": \"avx2\"", "\"dispatch\": \"scalar\"")
-            .replace("\"lane_width\": 4", "\"lane_width\": 1");
-        let report = compare(&base, &scalar, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert!(
-            report
-                .notes
-                .iter()
-                .any(|n| n.contains("dispatch") && n.contains("avx2") && n.contains("scalar")),
-            "notes: {:?}",
-            report.notes
-        );
+        let k = with(&kernels(), "stomp", "allocs_per_iter", 0u64);
+        let report = gate(&k, &with(&k, "stomp", "allocs_per_iter", 1u64));
+        assert!(fails_on(&report, "stomp/allocs_per_iter"), "{report:?}");
+        // the replay kernel builds its detector per iteration: not gated
+        let k = with(&k, "streaming_replay_left_discord", "allocs_per_iter", 3u64);
+        let fresh = with(&k, "streaming_replay_left_discord", "allocs_per_iter", 9u64);
+        assert!(gate(&k, &fresh).passed());
     }
 
     #[test]
     fn missing_kernel_fails_but_new_kernel_is_noted() {
-        let base = doc(22_000_000, "0");
-        let only_stomp = r#"{
-  "schema": "tsad-bench-kernels/v4",
-  "kernels": [
-    {"name": "stomp", "median_ns_per_iter_1_thread": 22000000, "allocs_per_iter": 0}
-  ]
-}"#;
-        let report = compare(&base, only_stomp, MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("merlin")));
-        // fresh-only kernels are allowed
-        let report = compare(only_stomp, &base, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert!(report.notes.iter().any(|n| n.contains("merlin")));
+        let k = kernels();
+        let report = gate(&k, &without_case(&k, "merlin"));
+        assert!(fails_on(&report, "merlin/wall_ns_1t"), "{report:?}");
+        let report = gate(&without_case(&k, "merlin"), &k);
+        assert!(report.passed());
+        assert!(report.notes.iter().any(|n| n.starts_with("merlin/")));
+    }
+
+    #[test]
+    fn dispatch_drift_is_noted_but_passes() {
+        let k = kernels();
+        let mut fresh = k.clone();
+        fresh.env.dispatch = "made-up".into();
+        let report = gate(&k, &fresh);
+        assert!(report.passed());
+        assert!(report.notes.iter().any(|n| n.contains("made-up")));
+    }
+
+    #[test]
+    fn schema_drift_is_a_clear_error_not_a_parse_failure() {
+        let legacy = r#"{"schema": "tsad-bench-kernels/v4", "seed": 42, "kernels": []}"#;
+        let err = compare(legacy, &kernels().render()).unwrap_err();
+        assert!(err.contains("schema mismatch"), "{err}");
+        assert!(err.contains("repro -- bench kernels"), "{err}");
     }
 
     #[test]
     fn malformed_inputs_are_errors_not_failures() {
-        assert!(compare("not json", &doc(1, "0"), MAX_WALL_RATIO).is_err());
-        assert!(compare(&doc(1, "0"), "{}", MAX_WALL_RATIO).is_err());
-        let wrong_schema = doc(1, "0").replace("tsad-bench-kernels/v4", "something-else/v9");
-        assert!(compare(&wrong_schema, &doc(1, "0"), MAX_WALL_RATIO).is_err());
+        let good = kernels().render();
+        let truncated = &good[..good.len() / 2];
+        assert!(compare(&good, truncated).is_err());
+        assert!(compare(truncated, &good).is_err());
+        assert!(compare(&good, "not json").is_err());
+        let gateless = good.replacen(", \"gate\": {\"kind\": \"exact\"}", "", 1);
+        assert!(compare(&good, &gateless).is_err());
     }
 
-    fn fleet_doc(ns: u64, allocs: &str, bytes: u64, bitwise: &str) -> String {
-        format!(
-            r#"{{
-  "schema": "tsad-bench-fleet/v2",
-  "seed": 42,
-  "series": 100000,
-  "shards": 64,
-  "dispatch": "avx2",
-  "lane_width": 4,
-  "median_ns_per_round_1_thread": {ns},
-  "allocs_per_point": {allocs},
-  "bytes_per_series": {bytes},
-  "suspend_resume_bitwise": {bitwise}
-}}"#
-        )
+    // ─── fleet ──────────────────────────────────────────────────────────
+
+    #[test]
+    fn a_real_fleet_run_compares_clean_against_itself() {
+        let f = fleet_doc();
+        let report = gate(&f, &f);
+        assert!(report.passed(), "{:?}", report.failures);
+    }
+
+    #[test]
+    fn fleet_contract_rows_carry_the_expected_gates() {
+        let footprint = Gate::MaxRatio {
+            r: fleet::MAX_BYTES_PER_SERIES_RATIO,
+            floor_ns: 0,
+            same_threads: false,
+        };
+        assert_gates(
+            &fleet_doc(),
+            &[
+                ("geometry", "series", Gate::Exact),
+                ("geometry", "shards", Gate::Exact),
+                ("round", "wall_ns_1t", Gate::WALL),
+                ("round", "allocs_per_point", Gate::Exact),
+                ("footprint", "bytes_per_series", footprint),
+                ("resume", "suspend_resume_bitwise", Gate::MustBeTrue),
+            ],
+        );
     }
 
     #[test]
     fn identical_fleet_documents_pass() {
-        let doc = fleet_doc(50_000_000, "0", 240, "true");
-        let report = compare_fleet(&doc, &doc, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert_eq!(report.rows.len(), 1);
-        assert!((report.rows[0].ratio.unwrap() - 1.0).abs() < 1e-12);
-        assert!(render(&report).contains("fleet_ingest_round"));
+        let text = fleet_doc().render();
+        assert!(compare(&text, &text).unwrap().passed());
     }
 
     #[test]
     fn fleet_wall_regression_and_speedup_behave_like_kernels() {
-        let base = fleet_doc(50_000_000, "0", 240, "true");
-        let slow = fleet_doc(100_000_000, "0", 240, "true");
-        let report = compare_fleet(&base, &slow, MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("2.00x")));
-        let report = compare_fleet(&slow, &base, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
+        let f = fleet_doc();
+        let report = gate(&f, &scaled(&f, "round", "wall_ns_1t", 2.0));
+        assert!(fails_on(&report, "round/wall_ns_1t"), "{report:?}");
+        assert!(gate(&f, &scaled(&f, "round", "wall_ns_1t", 0.5)).passed());
     }
 
     #[test]
     fn fleet_alloc_gate_is_exact() {
-        let base = fleet_doc(1000, "0", 240, "true");
-        for bad in ["1", "null"] {
-            let report =
-                compare_fleet(&base, &fleet_doc(1000, bad, 240, "true"), MAX_WALL_RATIO).unwrap();
-            assert!(!report.passed(), "allocs {bad} passed");
-            assert!(report
-                .failures
-                .iter()
-                .any(|f| f.contains("allocs_per_point")));
-        }
+        let f = with(&fleet_doc(), "round", "allocs_per_point", 0u64);
+        assert!(fails_on(
+            &gate(&f, &with(&f, "round", "allocs_per_point", 1u64)),
+            "allocs_per_point"
+        ));
+        // vanished measurement (allocator not installed) fails too
+        let unmeasured = with(&f, "round", "allocs_per_point", JsonValue::Null);
+        assert!(fails_on(&gate(&f, &unmeasured), "allocs_per_point"));
     }
 
     #[test]
     fn fleet_footprint_growth_fails_but_margin_passes() {
-        let base = fleet_doc(1000, "0", 240, "true");
-        // +8% is inside the 10% margin
-        let report =
-            compare_fleet(&base, &fleet_doc(1000, "0", 259, "true"), MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        // +20% is not
-        let report =
-            compare_fleet(&base, &fleet_doc(1000, "0", 288, "true"), MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("bytes_per_series")));
+        let f = with(&fleet_doc(), "footprint", "bytes_per_series", 700u64);
+        let grown = with(&f, "footprint", "bytes_per_series", 770u64);
+        assert!(gate(&f, &grown).passed(), "1.10x is inside the margin");
+        let grown = with(&f, "footprint", "bytes_per_series", 800u64);
+        assert!(fails_on(&gate(&f, &grown), "bytes_per_series"));
     }
 
     #[test]
     fn fleet_bitwise_flag_must_hold() {
-        let base = fleet_doc(1000, "0", 240, "true");
-        let report =
-            compare_fleet(&base, &fleet_doc(1000, "0", 240, "false"), MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("suspend_resume_bitwise")));
+        let f = fleet_doc();
+        let broken = with(&f, "resume", "suspend_resume_bitwise", false);
+        assert!(fails_on(&gate(&f, &broken), "must be true"));
     }
 
     #[test]
     fn fleet_geometry_change_fails_the_gate() {
-        let base = fleet_doc(1000, "0", 240, "true");
-        let rescaled = base.replace("\"series\": 100000", "\"series\": 50000");
-        let report = compare_fleet(&base, &rescaled, MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("geometry")));
-    }
-
-    #[test]
-    fn fleet_schema_drift_is_a_regenerate_error() {
-        let base = fleet_doc(1000, "0", 240, "true").replace("/v2", "/v1");
-        let err =
-            compare_fleet(&base, &fleet_doc(1000, "0", 240, "true"), MAX_WALL_RATIO).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-        assert!(err.contains("fleet-json"), "no fix hint in: {err}");
+        let f = fleet_doc();
+        assert!(fails_on(
+            &gate(&f, &with(&f, "geometry", "series", 4_000u64)),
+            "geometry/series"
+        ));
+        assert!(fails_on(
+            &gate(&f, &with(&f, "geometry", "shards", 3u64)),
+            "geometry/shards"
+        ));
     }
 
     #[test]
     fn fleet_dispatch_drift_is_noted_but_passes() {
-        let base = fleet_doc(1000, "0", 240, "true");
-        let scalar = base
-            .replace("\"dispatch\": \"avx2\"", "\"dispatch\": \"scalar\"")
-            .replace("\"lane_width\": 4", "\"lane_width\": 1");
-        let report = compare_fleet(&base, &scalar, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert!(
-            report
-                .notes
-                .iter()
-                .any(|n| n.contains("dispatch") && n.contains("scalar")),
-            "notes: {:?}",
-            report.notes
-        );
+        let f = fleet_doc();
+        let mut fresh = f.clone();
+        fresh.env.lane_width = 1;
+        fresh.env.dispatch = "scalar".into();
+        let report = gate(&f, &fresh);
+        assert!(report.passed());
+        assert!(report.notes.iter().any(|n| n.contains("SIMD dispatch")));
     }
 
     #[test]
     fn fleet_malformed_inputs_are_errors() {
-        let good = fleet_doc(1000, "0", 240, "true");
-        assert!(compare_fleet("nope", &good, MAX_WALL_RATIO).is_err());
-        assert!(compare_fleet(&good, "{}", MAX_WALL_RATIO).is_err());
-        let wrong = good.replace("tsad-bench-fleet/v2", "tsad-bench-kernels/v4");
-        assert!(compare_fleet(&wrong, &good, MAX_WALL_RATIO).is_err());
+        let good = fleet_doc().render();
+        assert!(compare(&good, "").is_err());
+        assert!(compare(&good, &good.replace("\"threads\"", "\"workers\"")).is_err());
+        assert!(compare(&good, &good.replace("\"must_be_true\"", "\"maybe\"")).is_err());
     }
 
     #[test]
-    fn a_real_fleet_run_compares_clean_against_itself() {
-        use crate::experiments::fleet::{render_json, run as run_fleet, FleetBenchConfig};
-        let rendered = render_json(&run_fleet(42, &FleetBenchConfig::smoke()).unwrap());
-        let report = compare_fleet(&rendered, &rendered, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
+    fn fleet_schema_drift_is_a_regenerate_error() {
+        let legacy = r#"{"schema": "tsad-bench-fleet/v2", "series": 100000}"#;
+        let err = compare(legacy, &fleet_doc().render()).unwrap_err();
+        assert!(err.contains("regenerate"), "{err}");
+        assert!(err.contains("bench fleet --out BENCH_fleet.json"), "{err}");
+        // a document of another suite is no baseline either
+        assert!(compare(&kernels().render(), &fleet_doc().render()).is_err());
+    }
+
+    // ─── ingest ─────────────────────────────────────────────────────────
+
+    #[test]
+    fn a_real_ingest_run_compares_clean_against_itself() {
+        let i = ingest_doc();
+        let report = gate(&i, &i);
+        assert!(report.passed(), "{:?}", report.failures);
     }
 
     #[test]
-    fn a_real_bench_run_compares_clean_against_itself() {
-        // end-to-end: generate a real (smoke-sized) document and push it
-        // through the parser + gate
-        let rendered = render_bench(&run_bench(42, &BenchConfig::smoke()).unwrap());
-        let report = compare(&rendered, &rendered, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert_eq!(report.rows.len(), 4);
-        assert!(report.rows.iter().all(|r| r.ratio == Some(1.0)));
-    }
-
-    // ─── ingest gate ────────────────────────────────────────────────────
-
-    fn ingest_doc(parse_p99: u64, allocs: &str, http_rps: u64, errors: u64) -> String {
-        format!(
-            r#"{{
-  "schema": "tsad-bench-ingest/v1",
-  "seed": 42,
-  "series": 4096,
-  "batch_points": 64,
-  "host_threads": 1,
-  "dispatch": "avx2",
-  "lane_width": 4,
-  "budget_parse_ns": 5000,
-  "budget_route_ns": 10000,
-  "budget_overhead_ns": 100000,
-  "stages": [
-    {{"stage": "parse", "count": 512, "p50_ns": 900, "p95_ns": 1500, "p99_ns": {parse_p99}, "max_ns": 8000}},
-    {{"stage": "route", "count": 512, "p50_ns": 200, "p95_ns": 400, "p99_ns": 511, "max_ns": 2000}},
-    {{"stage": "push", "count": 512, "p50_ns": 3000, "p95_ns": 5000, "p99_ns": 8191, "max_ns": 20000}},
-    {{"stage": "respond", "count": 512, "p50_ns": 800, "p95_ns": 1200, "p99_ns": 2047, "max_ns": 4000}},
-    {{"stage": "request", "count": 512, "p50_ns": 6000, "p95_ns": 9000, "p99_ns": 16383, "max_ns": 40000}},
-    {{"stage": "overhead", "count": 512, "p50_ns": 3000, "p95_ns": 5000, "p99_ns": 8191, "max_ns": 20000}}
-  ],
-  "allocs_per_request": {allocs},
-  "loadgen": [
-    {{"transport": "http", "requests": 2000, "errors": {errors}, "rps": {http_rps}, "p99_ns": 100000}},
-    {{"transport": "tcp", "requests": 2000, "errors": 0, "rps": 90000, "p99_ns": 80000}}
-  ]
-}}"#
-        )
+    fn ingest_contract_rows_carry_the_expected_gates() {
+        let scale = ingest_bench::IngestBenchConfig::smoke().budget_scale;
+        let budget = |ns: u64| Gate::AbsMax {
+            budget: tsad_ingest::budget_bound(ns * scale),
+        };
+        let loopback = Gate::MaxRatio {
+            r: ingest_bench::MAX_NS_PER_REQUEST_RATIO,
+            floor_ns: 0,
+            same_threads: true,
+        };
+        let mut expected = vec![
+            ("geometry", "batch_points", Gate::Exact),
+            ("geometry", "series", Gate::Exact),
+            ("parse", "p99_ns", budget(tsad_ingest::BUDGET_PARSE_NS)),
+            ("route", "p99_ns", budget(tsad_ingest::BUDGET_ROUTE_NS)),
+            (
+                "overhead",
+                "p99_ns",
+                budget(tsad_ingest::BUDGET_OVERHEAD_NS),
+            ),
+            ("request", "allocs_per_request", Gate::Exact),
+        ];
+        for stage in ["parse", "route", "push", "respond", "request", "overhead"] {
+            expected.push((stage, "count", Gate::Exact));
+        }
+        for case in ["loadgen_http", "loadgen_tcp"] {
+            expected.push((case, "errors", Gate::Exact));
+            expected.push((case, "ns_per_request", loopback));
+        }
+        assert_gates(&ingest_doc(), &expected);
+        // the release contract is the bucket bound of the documented budget
+        assert_eq!(
+            tsad_ingest::budget_bound(tsad_ingest::BUDGET_PARSE_NS),
+            8191
+        );
+        assert_eq!(
+            tsad_ingest::budget_bound(tsad_ingest::BUDGET_ROUTE_NS),
+            16383
+        );
+        assert_eq!(
+            tsad_ingest::budget_bound(tsad_ingest::BUDGET_OVERHEAD_NS),
+            131071
+        );
     }
 
     #[test]
     fn identical_ingest_documents_pass() {
-        let doc = ingest_doc(2047, "0", 50_000, 0);
-        let report = compare_ingest(&doc, &doc).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        // one row per stage
-        assert_eq!(report.rows.len(), 6);
-        assert!(render(&report).contains("ingest_parse_p99"));
+        let text = ingest_doc().render();
+        assert!(compare(&text, &text).unwrap().passed());
     }
 
     #[test]
     fn ingest_budget_bust_fails_absolutely() {
-        let base = ingest_doc(2047, "0", 50_000, 0);
-        // 9000 ns > budget_bound(5000) = 8191: busted even though the
-        // baseline also carried it (absolute, not relative)
-        let report = compare_ingest(&base, &ingest_doc(9000, "0", 50_000, 0)).unwrap();
-        assert!(!report.passed());
-        assert!(
-            report
-                .failures
-                .iter()
-                .any(|f| f.contains("parse") && f.contains("budget")),
-            "failures: {:?}",
-            report.failures
-        );
-        // right at the bucket bound passes
-        let report = compare_ingest(&base, &ingest_doc(8191, "0", 50_000, 0)).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
+        let i = ingest_doc();
+        let Gate::AbsMax { budget } = i.row("parse", "p99_ns").unwrap().gate else {
+            panic!("parse p99 is not budgeted");
+        };
+        let at = with(&i, "parse", "p99_ns", budget);
+        assert!(gate(&i, &at).passed());
+        // regenerating the baseline at the busted value does not help
+        let busted = with(&i, "parse", "p99_ns", budget + 1);
+        assert!(fails_on(&gate(&busted, &busted), "parse/p99_ns: over the"));
+        // an unbudgeted stage may move freely
+        assert!(gate(&i, &scaled(&i, "push", "p99_ns", 100.0)).passed());
     }
 
     #[test]
     fn ingest_alloc_gate_is_exact() {
-        let base = ingest_doc(2047, "0", 50_000, 0);
-        for bad in ["1", "null"] {
-            let report = compare_ingest(&base, &ingest_doc(2047, bad, 50_000, 0)).unwrap();
-            assert!(!report.passed(), "allocs {bad} passed");
-            assert!(report
-                .failures
-                .iter()
-                .any(|f| f.contains("allocs_per_request")));
-        }
-    }
-
-    #[test]
-    fn ingest_throughput_drop_fails_but_noise_passes() {
-        let base = ingest_doc(2047, "0", 60_000, 0);
-        // 2x drop fails
-        let report = compare_ingest(&base, &ingest_doc(2047, "0", 30_000, 0)).unwrap();
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("throughput")));
-        // -20% is inside the 1.5x margin
-        let report = compare_ingest(&base, &ingest_doc(2047, "0", 48_000, 0)).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        // and a speedup obviously passes
-        let report = compare_ingest(&base, &ingest_doc(2047, "0", 120_000, 0)).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-    }
-
-    #[test]
-    fn ingest_throughput_is_not_gated_across_thread_counts() {
-        // TSAD_THREADS resizes the worker set; a 2x rps drop against a
-        // baseline from a different thread count is noted, not failed
-        // (the CI matrix compares 1- and 4-thread runs to one baseline).
-        let base = ingest_doc(2047, "0", 60_000, 0);
-        let fresh =
-            ingest_doc(2047, "0", 30_000, 0).replace("\"host_threads\": 1", "\"host_threads\": 4");
-        let report = compare_ingest(&base, &fresh).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert!(
-            report
-                .notes
-                .iter()
-                .any(|n| n.contains("host_threads 1 (baseline) vs 4 (fresh)")),
-            "notes: {:?}",
-            report.notes
-        );
-        // errors still fail even when rps is not comparable
-        let fresh =
-            ingest_doc(2047, "0", 30_000, 7).replace("\"host_threads\": 1", "\"host_threads\": 4");
-        let report = compare_ingest(&base, &fresh).unwrap();
-        assert!(!report.passed());
+        let i = with(&ingest_doc(), "request", "allocs_per_request", 0u64);
+        let report = gate(&i, &with(&i, "request", "allocs_per_request", 2u64));
+        assert!(fails_on(&report, "allocs_per_request"));
+        // a stage with zero samples fails its count row
+        assert!(fails_on(
+            &gate(&i, &with(&i, "route", "count", 0u64)),
+            "route/count"
+        ));
     }
 
     #[test]
     fn ingest_loadgen_errors_fail_the_gate() {
-        let base = ingest_doc(2047, "0", 50_000, 0);
-        let report = compare_ingest(&base, &ingest_doc(2047, "0", 50_000, 3)).unwrap();
-        assert!(!report.passed());
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("http") && f.contains("errors")));
+        let i = ingest_doc();
+        for case in ["loadgen_http", "loadgen_tcp"] {
+            let report = gate(&i, &with(&i, case, "errors", 3u64));
+            assert!(fails_on(&report, &format!("{case}/errors")), "{report:?}");
+        }
     }
 
     #[test]
     fn ingest_schema_drift_and_geometry_changes_are_caught() {
-        let base = ingest_doc(2047, "0", 50_000, 0);
-        let v2 = base.replace("tsad-bench-ingest/v1", "tsad-bench-ingest/v2");
-        let err = compare_ingest(&base, &v2).unwrap_err();
-        assert!(err.contains("ingest-json"), "no fix hint in: {err}");
-        let rescaled = base.replace("\"batch_points\": 64", "\"batch_points\": 128");
-        let report = compare_ingest(&base, &rescaled).unwrap();
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("geometry")));
+        let i = ingest_doc();
+        assert!(fails_on(
+            &gate(&i, &with(&i, "geometry", "batch_points", 64u64)),
+            "geometry/batch_points"
+        ));
+        let legacy = r#"{"schema": "tsad-bench-ingest/v1", "stages": []}"#;
+        let err = compare(legacy, &i.render()).unwrap_err();
+        assert!(err.contains("bench ingest"), "{err}");
     }
 
     #[test]
-    fn a_real_ingest_run_compares_clean_against_itself() {
-        use crate::experiments::ingest_bench::{render_json, run, IngestBenchConfig};
-        let rendered = render_json(&run(42, &IngestBenchConfig::smoke()).unwrap());
-        let report = compare_ingest(&rendered, &rendered).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
+    fn ingest_throughput_drop_fails_but_noise_passes() {
+        let i = ingest_doc();
+        let slow = scaled(&i, "loadgen_tcp", "ns_per_request", 1.6);
+        assert!(fails_on(&gate(&i, &slow), "loadgen_tcp/ns_per_request"));
+        let noisy = scaled(&i, "loadgen_http", "ns_per_request", 1.4);
+        assert!(gate(&i, &noisy).passed());
     }
 
-    // ─── wal gate ───────────────────────────────────────────────────────
+    #[test]
+    fn ingest_throughput_is_not_gated_across_thread_counts() {
+        let i = ingest_doc();
+        let mut fresh = scaled(&i, "loadgen_tcp", "ns_per_request", 3.0);
+        fresh.env.threads = i.env.threads + 3;
+        let report = gate(&i, &fresh);
+        assert!(report.passed(), "{:?}", report.failures);
+        assert!(report.notes.iter().any(|n| n.contains("threads differ")));
+        // errors and budgets gate regardless of the worker count
+        let fresh = with(&fresh, "loadgen_tcp", "errors", 1u64);
+        assert!(fails_on(&gate(&i, &fresh), "loadgen_tcp/errors"));
+    }
 
-    fn wal_doc(off_ns: u64, off_allocs: &str, bitwise: &str, torn: &str) -> String {
-        format!(
-            r#"{{
-  "schema": "tsad-bench-wal/v1",
-  "seed": 42,
-  "batches": 2000,
-  "batch_points": 64,
-  "segment_bytes": 1048576,
-  "policies": [
-    {{"policy": "per-batch", "wall_ns_per_batch": 2000000, "points_per_sec": 32000, "fsyncs": 2001, "bytes_written": 3000000, "allocs_per_batch": 0}},
-    {{"policy": "group", "wall_ns_per_batch": 400000, "points_per_sec": 160000, "fsyncs": 251, "bytes_written": 3000000, "allocs_per_batch": 0}},
-    {{"policy": "off", "wall_ns_per_batch": {off_ns}, "points_per_sec": 8000000, "fsyncs": 3, "bytes_written": 3000000, "allocs_per_batch": {off_allocs}}}
-  ],
-  "recovery": {{"bitwise": {bitwise}, "replayed_batches": 41, "truncated_bytes": 7, "torn_tail_truncated": {torn}}}
-}}"#
-        )
+    // ─── wal ────────────────────────────────────────────────────────────
+
+    #[test]
+    fn a_real_wal_run_compares_clean_against_itself() {
+        let w = wal_doc();
+        let report = gate(&w, &w);
+        assert!(report.passed(), "{:?}", report.failures);
+    }
+
+    #[test]
+    fn wal_contract_rows_carry_the_expected_gates() {
+        let mut expected = vec![
+            ("geometry", "batches", Gate::Exact),
+            ("geometry", "batch_points", Gate::Exact),
+            ("geometry", "segment_bytes", Gate::Exact),
+            ("off", "wall_ns_per_batch", Gate::WALL),
+            ("recovery", "bitwise", Gate::MustBeTrue),
+            ("recovery", "torn_tail_truncated", Gate::MustBeTrue),
+            ("recovery", "replayed_batches", Gate::Exact),
+        ];
+        for policy in ["per-batch", "group", "off"] {
+            expected.push((policy, "allocs_per_batch", Gate::Exact));
+        }
+        assert_gates(&wal_doc(), &expected);
     }
 
     #[test]
     fn identical_wal_documents_pass() {
-        let doc = wal_doc(8000, "0", "true", "true");
-        let report = compare_wal(&doc, &doc, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert_eq!(report.rows.len(), 3);
-        assert!(render(&report).contains("wal_append_off"));
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("replayed 41 batches")));
+        let text = wal_doc().render();
+        assert!(compare(&text, &text).unwrap().passed());
     }
 
     #[test]
     fn wal_wall_gate_applies_to_the_fsync_free_policy_only() {
-        let base = wal_doc(8000, "0", "true", "true");
-        // 2x on the off row fails
-        let report =
-            compare_wal(&base, &wal_doc(16000, "0", "true", "true"), MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("wal_append_off") && f.contains("2.00x")));
-        // 2x on the fsync-bound rows is informational: runner disks vary
-        let slow_fsync = base
-            .replace(
-                "\"wall_ns_per_batch\": 2000000",
-                "\"wall_ns_per_batch\": 4000000",
-            )
-            .replace(
-                "\"wall_ns_per_batch\": 400000",
-                "\"wall_ns_per_batch\": 800000",
-            );
-        let report = compare_wal(&base, &slow_fsync, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
+        let w = wal_doc();
+        let report = gate(&w, &scaled(&w, "off", "wall_ns_per_batch", 2.0));
+        assert!(fails_on(&report, "off/wall_ns_per_batch"), "{report:?}");
+        let fresh = scaled(&w, "per-batch", "wall_ns_per_batch", 10.0);
+        let fresh = scaled(&fresh, "group", "wall_ns_per_batch", 10.0);
+        assert!(gate(&w, &fresh).passed());
     }
 
     #[test]
     fn wal_alloc_gate_is_exact_per_policy() {
-        let base = wal_doc(8000, "0", "true", "true");
-        for bad in ["1", "null"] {
-            let report =
-                compare_wal(&base, &wal_doc(8000, bad, "true", "true"), MAX_WALL_RATIO).unwrap();
-            assert!(!report.passed(), "allocs {bad} passed");
-            assert!(report
-                .failures
-                .iter()
-                .any(|f| f.contains("allocs_per_batch")));
+        for policy in ["per-batch", "group", "off"] {
+            let w = with(&wal_doc(), policy, "allocs_per_batch", 0u64);
+            let report = gate(&w, &with(&w, policy, "allocs_per_batch", 1u64));
+            assert!(fails_on(&report, &format!("{policy}/allocs_per_batch")));
         }
     }
 
     #[test]
     fn wal_recovery_contracts_are_absolute() {
-        let base = wal_doc(8000, "0", "true", "true");
-        // a baseline that also carries bitwise=false does not excuse it
-        let bad = wal_doc(8000, "0", "false", "true");
-        let report = compare_wal(&bad, &bad, MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("bitwise")));
-        let report =
-            compare_wal(&base, &wal_doc(8000, "0", "true", "false"), MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("torn tail not repaired")));
-        // zero replayed batches means the harness never exercised recovery
-        let hollow = base.replace("\"replayed_batches\": 41", "\"replayed_batches\": 0");
-        let report = compare_wal(&base, &hollow, MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("zero batches")));
-    }
-
-    #[test]
-    fn wal_geometry_change_and_schema_drift_are_caught() {
-        let base = wal_doc(8000, "0", "true", "true");
-        let rescaled = base.replace("\"batches\": 2000", "\"batches\": 100");
-        let report = compare_wal(&base, &rescaled, MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("geometry")));
-        let v2 = base.replace("tsad-bench-wal/v1", "tsad-bench-wal/v2");
-        let err = compare_wal(&base, &v2, MAX_WALL_RATIO).unwrap_err();
-        assert!(err.contains("wal-json"), "no fix hint in: {err}");
+        let w = wal_doc();
+        for metric in ["bitwise", "torn_tail_truncated"] {
+            let broken = with(&w, "recovery", metric, false);
+            // a baseline that recorded the breakage does not excuse it
+            assert!(fails_on(
+                &gate(&broken, &broken),
+                &format!("recovery/{metric}")
+            ));
+        }
+        let none = with(&w, "recovery", "replayed_batches", 0u64);
+        assert!(fails_on(&gate(&w, &none), "recovery/replayed_batches"));
     }
 
     #[test]
     fn wal_missing_policy_fails_the_gate() {
-        let base = wal_doc(8000, "0", "true", "true");
-        let gone = base.replace(
-            "{\"policy\": \"group\", \"wall_ns_per_batch\": 400000, \"points_per_sec\": 160000, \"fsyncs\": 251, \"bytes_written\": 3000000, \"allocs_per_batch\": 0},\n",
-            "",
-        );
-        let report = compare_wal(&base, &gone, MAX_WALL_RATIO).unwrap();
-        assert!(!report.passed());
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("wal_append_group") && f.contains("missing")));
+        let w = wal_doc();
+        let report = gate(&w, &without_case(&w, "group"));
+        assert!(fails_on(&report, "group/allocs_per_batch"), "{report:?}");
     }
 
     #[test]
-    fn a_real_wal_run_compares_clean_against_itself() {
-        use crate::experiments::wal_bench::{render_json, run, WalBenchConfig};
-        let rendered = render_json(&run(42, &WalBenchConfig::smoke()).unwrap());
-        let report = compare_wal(&rendered, &rendered, MAX_WALL_RATIO).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
+    fn wal_geometry_change_and_schema_drift_are_caught() {
+        let w = wal_doc();
+        for metric in ["batches", "batch_points", "segment_bytes"] {
+            let v = w.row("geometry", metric).unwrap().value.as_u64().unwrap();
+            let report = gate(&w, &with(&w, "geometry", metric, v + 1));
+            assert!(fails_on(&report, &format!("geometry/{metric}")));
+        }
+        let legacy = r#"{"schema": "tsad-bench-wal/v1", "policies": []}"#;
+        assert!(compare(legacy, &w.render())
+            .unwrap_err()
+            .contains("bench wal"));
+    }
+
+    // ─── catalog and faults ─────────────────────────────────────────────
+
+    #[test]
+    fn catalog_contract_rows_carry_the_expected_gates() {
+        let exp = catalog::run(7, &catalog::CatalogConfig { per_family: 1 }).unwrap();
+        let doc = catalog::to_doc(&exp);
+        let wall = Gate::MaxRatio {
+            r: MAX_WALL_RATIO,
+            floor_ns: catalog::WALL_NOISE_FLOOR_NS,
+            same_threads: false,
+        };
+        let cells: Vec<String> = exp
+            .rows
+            .iter()
+            .map(|r| format!("{}/{}", r.detector, r.family))
+            .collect();
+        let mut expected = Vec::new();
+        for cell in &cells {
+            expected.push((cell.as_str(), "hits", Gate::Exact));
+            expected.push((cell.as_str(), "series", Gate::Exact));
+        }
+        for r in &exp.rows {
+            expected.push((r.detector.as_str(), "wall_ns", wall));
+        }
+        assert_gates(&doc, &expected);
+        assert_eq!(cells.len(), exp.detector_count * 4);
+    }
+
+    #[test]
+    fn faults_contract_rows_carry_the_expected_gates() {
+        let exp = faults::FaultsExperiment {
+            seed: 1,
+            env: crate::gate::Env::current(1),
+            rows: vec![faults::FaultRow {
+                profile: "clean".into(),
+                dataset: "yahoo-a1".into(),
+                detector: "d".into(),
+                injected_points: 0,
+                quarantined: 0,
+                ucr_hit: true,
+                detected: 1,
+                regions: 1,
+                false_alarms: 0,
+                total_alarms: 1,
+            }],
+        };
+        let doc = faults::to_doc(&exp);
+        assert_eq!(doc.rows.len(), 7);
+        assert!(doc.rows.iter().all(|r| r.gate == Gate::Exact));
+        assert_eq!(
+            doc.row("yahoo-a1/clean/d", "ucr_hit").unwrap().value,
+            true.into()
+        );
     }
 }

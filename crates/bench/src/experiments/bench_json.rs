@@ -1,51 +1,45 @@
-//! `bench-json` — machine-readable kernel baselines.
+//! `bench kernels` — the compute kernels (`BENCH_kernels.json`).
 //!
 //! Times the four parallelized kernels (STOMP, MERLIN, the sliding dot
 //! product, and a streaming replay) at 1 thread and at [`PAR_THREADS`]
-//! threads via `tsad_parallel::with_threads`, and renders the medians as a
-//! small, dependency-free JSON document (`BENCH_kernels.json`). Alongside
-//! each median the document records `allocs_per_iter`: the number of heap
-//! allocations one warm single-threaded iteration performs, counted by the
-//! [`crate::alloc_track`] allocator when the host binary installs it (the
-//! `repro` driver does; under `cargo test` the field is honestly `null`).
+//! threads via `tsad_parallel::with_threads`. The 1-thread median is the
+//! gated wall row (the least scheduler-sensitive number the run has); the
+//! [`PAR_THREADS`] column and the speedup are `info`. Each kernel also
+//! records `allocs_per_iter`, the heap allocations of one warm
+//! single-threaded iteration: an `exact` row for the three kernels with
+//! allocation-free contracts ([`GATED_KERNELS`]), `null` when the counting
+//! allocator is not installed (under `cargo test`).
 //!
-//! The timings are a *baseline*, not a pass/fail gate — absolute numbers
-//! are machine-specific. The allocation counts, in contrast, are exact and
-//! portable, so CI does gate on `allocs_per_iter == 0` for the three
-//! kernels with allocation-free contracts (`sliding_dot_product`, `stomp`,
-//! `merlin`); the wall-clock columns are gated *relatively* by the
-//! `bench-compare` subcommand (fresh run vs the committed baseline).
+//! The paper-experiment kernels the production rows do not cover — MASS,
+//! HOT SAX, Telemanom, the scoring protocols, the streaming ports, archive
+//! generate/validate/contest, the Table-1 search, and Figs. 8 and 13 — are
+//! one `info` row each: recorded on every run, never gated.
 //!
-//! Since schema v3 every kernel entry embeds a per-kernel `tsad-obs`
-//! snapshot (`"obs"`, schema `tsad-obs/v1`): FFT plan-cache hit rates,
+//! Every production kernel's `tsad-obs` snapshot (FFT plan-cache hits,
 //! STOMP band timings, MERLIN prune counts, worker utilization, replay
-//! throughput. The registry is reset before each kernel, so the block
-//! describes that kernel alone.
-//!
-//! Schema v4 adds the SIMD dispatch the run resolved to: every kernel
-//! entry carries `"dispatch"` (the backend name — `avx2`, `sse2`, `neon`,
-//! or `scalar`) and `"lane_width"` (f64 lanes per vector). Both come from
-//! `tsad_core::simd::current()` at measure time, so a `TSAD_SIMD=0` run is
-//! self-describing in the committed baseline.
-
-use std::fmt::Write as _;
-use std::sync::Mutex;
-use std::time::Instant;
+//! throughput) rides along in the document's `obs` block, and its
+//! `obs_recorded` row (`must_be_true`) fails a run that recorded nothing.
 
 use tsad_core::error::Result;
 use tsad_core::fft::sliding_dot_product_into;
-use tsad_core::Labels;
+use tsad_core::{Labels, Region, TimeSeries};
 use tsad_detectors::matrix_profile::{
-    stomp_metric_with, MatrixProfile, ProfileMetric, StompWorkspace,
+    stomp_metric_with, DiscordDetector, MatrixProfile, ProfileMetric, StompWorkspace,
 };
 use tsad_detectors::merlin::merlin_into;
+use tsad_detectors::Detector;
 use tsad_parallel::with_threads;
-use tsad_stream::{replay, ReplayConfig, StreamingLeftDiscord};
+use tsad_stream::{replay, ReplayConfig, StreamingDetector, StreamingLeftDiscord};
 
-use crate::alloc_track::{count_allocs, counting_allocator_active};
+use crate::gate::{Doc, Env, Gate};
+use crate::harness::{allocs, observed, time};
 
 /// Thread count used for the parallel column.
 pub const PAR_THREADS: usize = 4;
+
+/// Kernels with an allocation-free contract (`allocs_per_iter` is gated
+/// `exact`).
+pub const GATED_KERNELS: [&str; 3] = ["sliding_dot_product", "stomp", "merlin"];
 
 /// Sizes for one timing run.
 #[derive(Debug, Clone, Copy)]
@@ -68,6 +62,8 @@ pub struct BenchConfig {
     pub replay_m: usize,
     /// Timed repetitions per kernel per thread count (median reported).
     pub iters: usize,
+    /// Divides the input sizes of the `info` rows (1 = full size).
+    pub info_scale: usize,
 }
 
 impl Default for BenchConfig {
@@ -82,6 +78,7 @@ impl Default for BenchConfig {
             replay_n: 6000,
             replay_m: 32,
             iters: 5,
+            info_scale: 1,
         }
     }
 }
@@ -99,63 +96,9 @@ impl BenchConfig {
             replay_n: 400,
             replay_m: 8,
             iters: 2,
+            info_scale: 8,
         }
     }
-}
-
-/// Median wall-clock per iteration for one kernel at both thread counts,
-/// plus the warm-iteration allocation count.
-#[derive(Debug, Clone)]
-pub struct KernelTiming {
-    /// Kernel label.
-    pub name: &'static str,
-    /// Human-readable size note.
-    pub params: String,
-    /// Timed repetitions per thread count.
-    pub iters: usize,
-    /// Median ns/iter at 1 thread.
-    pub median_ns_1t: u128,
-    /// Median ns/iter at [`PAR_THREADS`] threads.
-    pub median_ns_nt: u128,
-    /// Heap allocations in one warm single-threaded iteration, or `None`
-    /// when the counting allocator is not installed in this process.
-    pub allocs_per_iter: Option<u64>,
-    /// SIMD backend the run dispatched to (`avx2`, `sse2`, `neon`, or
-    /// `scalar`), resolved at measure time via `tsad_core::simd::current()`.
-    pub dispatch: &'static str,
-    /// f64 lanes per vector on that backend (1 for scalar).
-    pub lane_width: usize,
-    /// Observability snapshot covering this kernel's warm-up, allocation
-    /// count, and both timing columns (the registry is reset before each
-    /// kernel, so the snapshot is per-kernel, not cumulative).
-    pub obs: tsad_obs::Snapshot,
-}
-
-impl KernelTiming {
-    /// `1-thread / N-thread` wall-clock ratio (> 1 means the pool helped),
-    /// or `None` when the host cannot actually run [`PAR_THREADS`] workers
-    /// concurrently — on a single-CPU host the ratio measures scheduler
-    /// thrash, not parallel speedup, so the document refuses to report one.
-    pub fn speedup(&self, host_threads: usize) -> Option<f64> {
-        if host_threads <= 1 || self.median_ns_nt == 0 {
-            None
-        } else {
-            Some(self.median_ns_1t as f64 / self.median_ns_nt as f64)
-        }
-    }
-}
-
-/// The full baseline document.
-#[derive(Debug, Clone)]
-pub struct BenchJson {
-    /// Seed the inputs were generated from.
-    pub seed: u64,
-    /// Thread count of the parallel column.
-    pub threads: usize,
-    /// Host parallelism the override competed against.
-    pub host_threads: usize,
-    /// Per-kernel medians.
-    pub kernels: Vec<KernelTiming>,
 }
 
 fn series(n: usize, seed: u64) -> Vec<f64> {
@@ -171,61 +114,62 @@ fn series(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-fn median_ns(iters: usize, f: &mut dyn FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..iters.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
+/// `1-thread / N-thread` wall ratio (> 1 means the pool helped), or `None`
+/// when the host cannot run [`PAR_THREADS`] workers at once: on a
+/// single-CPU host the ratio measures scheduler thrash, not speedup.
+pub fn speedup(host_threads: u64, ns_1t: u64, ns_nt: u64) -> Option<f64> {
+    (host_threads > 1 && ns_nt > 0).then(|| (ns_1t as f64 / ns_nt as f64 * 1e3).round() / 1e3)
+}
+
+/// Warms the kernel once at 1 effective thread (plan caches, thread-local
+/// scratch, pooled band buffers), counts the allocations of a second warm
+/// iteration, then times both thread columns. The count is taken
+/// single-threaded because the per-call scoped worker spawns at higher
+/// thread counts allocate by construction.
+fn measure(doc: &mut Doc, name: &'static str, iters: usize, f: &mut dyn FnMut()) {
+    let ((allocs_per_iter, ns_1t, ns_nt), obs) = observed(|| {
+        let allocs_per_iter = with_threads(1, || {
             f();
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn time_at_threads(iters: usize, threads: usize, f: &mut dyn FnMut()) -> u128 {
-    with_threads(threads, || median_ns(iters, f))
-}
-
-/// Warms the kernel once at 1 effective thread (populating plan caches,
-/// thread-local scratch, and pooled band buffers on *this* thread), counts
-/// the allocations of a second warm iteration, then times both thread
-/// columns. The count is taken single-threaded because the per-call scoped
-/// worker spawns at higher thread counts allocate by construction.
-///
-/// The global metric registry is reset on entry and snapshotted on exit,
-/// so each kernel's `obs` block covers exactly its own activity.
-fn measure(name: &'static str, params: String, iters: usize, f: &mut dyn FnMut()) -> KernelTiming {
-    tsad_obs::reset_all();
-    let allocs_per_iter = with_threads(1, || {
-        f();
-        counting_allocator_active().then(|| count_allocs(&mut *f))
+            allocs(&mut *f)
+        });
+        let ns_1t = with_threads(1, || time(0, iters, f)).median_ns;
+        let ns_nt = with_threads(PAR_THREADS, || time(0, iters, f)).median_ns;
+        (allocs_per_iter, ns_1t, ns_nt)
     });
-    let median_ns_1t = time_at_threads(iters, 1, f);
-    let median_ns_nt = time_at_threads(iters, PAR_THREADS, f);
-    let backend = tsad_core::simd::current();
-    KernelTiming {
-        name,
-        params,
-        iters,
-        median_ns_1t,
-        median_ns_nt,
-        allocs_per_iter,
-        dispatch: backend.name(),
-        lane_width: backend.lane_width(),
-        obs: tsad_obs::snapshot(),
-    }
+    let alloc_gate = if GATED_KERNELS.contains(&name) {
+        Gate::Exact
+    } else {
+        Gate::Info
+    };
+    let x = speedup(doc.env.host_threads, ns_1t, ns_nt);
+    doc.push(name, "wall_ns_1t", "ns", ns_1t, Gate::WALL);
+    doc.push(name, "wall_ns_4t", "ns", ns_nt, Gate::Info);
+    doc.push(name, "speedup", "x", x, Gate::Info);
+    let n = allocs_per_iter;
+    doc.push(name, "allocs_per_iter", "allocs", n, alloc_gate);
+    let recorded = !obs.is_empty();
+    doc.push(name, "obs_recorded", "bool", recorded, Gate::MustBeTrue);
+    doc.obs.push((name.to_string(), obs));
 }
 
-/// Serializes [`run`] calls within one process: the observability registry
-/// is global, so two concurrent runs (e.g. unit tests on the default
-/// multi-threaded test runner) would reset and snapshot through each other.
-static RUN_LOCK: Mutex<()> = Mutex::new(());
+/// Times one paper-experiment kernel as an `info` row.
+fn info(doc: &mut Doc, name: &str, iters: usize, f: &mut dyn FnMut()) {
+    let ns = time(1, iters, f).median_ns;
+    doc.push(name, "wall_ns", "ns", ns, Gate::Info);
+}
 
-/// Runs the kernel panel and collects the timings.
-pub fn run(seed: u64, cfg: &BenchConfig) -> Result<BenchJson> {
-    let _serialize = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut kernels = Vec::new();
+fn ecg(seed: u64, n: usize) -> Vec<f64> {
+    let config = tsad_synth::physio::PhysioConfig {
+        n,
+        pvc_beat: Some(n / 320),
+        ..Default::default()
+    };
+    tsad_synth::physio::physio(seed, &config).ecg.into_values()
+}
+
+/// Runs the kernel panel.
+pub fn run(seed: u64, cfg: &BenchConfig) -> Result<Doc> {
+    let mut doc = Doc::new("kernels", Env::current(seed));
 
     // STOMP through the caller-owned-buffer entry point: the workspace and
     // output profile persist across iterations, so warm iterations are
@@ -238,14 +182,9 @@ pub fn run(seed: u64, cfg: &BenchConfig) -> Result<BenchJson> {
         index: Vec::new(),
         window: m,
     };
-    kernels.push(measure(
-        "stomp",
-        format!("n={}, m={}", cfg.stomp_n, cfg.stomp_m),
-        cfg.iters,
-        &mut || {
-            stomp_metric_with(&x, m, ProfileMetric::ZNormalized, &mut ws, &mut mp).expect("stomp");
-        },
-    ));
+    measure(&mut doc, "stomp", cfg.iters, &mut || {
+        stomp_metric_with(&x, m, ProfileMetric::ZNormalized, &mut ws, &mut mp).expect("stomp");
+    });
 
     // MERLIN through the caller-owned-buffer entry point: the output list
     // persists across iterations (cleared, not dropped), the per-chunk
@@ -254,29 +193,19 @@ pub fn run(seed: u64, cfg: &BenchConfig) -> Result<BenchJson> {
     let x = series(cfg.merlin_n, seed + 1);
     let (lo, hi) = cfg.merlin_lengths;
     let mut discords = Vec::new();
-    kernels.push(measure(
-        "merlin",
-        format!("n={}, lengths={lo}..={hi}", cfg.merlin_n),
-        cfg.iters,
-        &mut || {
-            discords.clear();
-            merlin_into(&x, lo, hi, &mut discords).expect("merlin");
-        },
-    ));
+    measure(&mut doc, "merlin", cfg.iters, &mut || {
+        discords.clear();
+        merlin_into(&x, lo, hi, &mut discords).expect("merlin");
+    });
 
     // The sliding dot product into a persistent output buffer; the FFT
     // scratch lives in plan-cache-adjacent thread-locals.
     let x = series(cfg.sdp_n, seed + 2);
     let q = series(cfg.sdp_m, seed + 3);
     let mut dots = Vec::new();
-    kernels.push(measure(
-        "sliding_dot_product",
-        format!("n={}, m={}", cfg.sdp_n, cfg.sdp_m),
-        cfg.iters,
-        &mut || {
-            sliding_dot_product_into(&q, &x, &mut dots).expect("sliding_dot_product");
-        },
-    ));
+    measure(&mut doc, "sliding_dot_product", cfg.iters, &mut || {
+        sliding_dot_product_into(&q, &x, &mut dots).expect("sliding_dot_product");
+    });
 
     let x = series(cfg.replay_n, seed + 4);
     let labels = Labels::new(x.len(), vec![])?;
@@ -285,166 +214,276 @@ pub fn run(seed: u64, cfg: &BenchConfig) -> Result<BenchJson> {
         threshold: f64::INFINITY,
         slop: 0,
     };
-    kernels.push(measure(
+    measure(
+        &mut doc,
         "streaming_replay_left_discord",
-        format!("n={}, m={}", cfg.replay_n, cfg.replay_m),
         cfg.iters,
         &mut || {
             let mut det = StreamingLeftDiscord::new(cfg.replay_m, Default::default(), x.len())
                 .expect("detector");
             replay(&mut det, &x, &labels, &replay_cfg).expect("replay");
         },
-    ));
+    );
 
-    Ok(BenchJson {
-        seed,
-        threads: PAR_THREADS,
-        host_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        kernels,
-    })
+    run_info_rows(&mut doc, seed, cfg)?;
+    Ok(doc)
 }
 
-/// Renders the document as pretty-printed JSON (handwritten — the build is
-/// offline, so no serde).
-pub fn render(doc: &BenchJson) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"tsad-bench-kernels/v4\",");
-    let _ = writeln!(out, "  \"seed\": {},", doc.seed);
-    let _ = writeln!(out, "  \"threads\": {},", doc.threads);
-    let _ = writeln!(out, "  \"host_threads\": {},", doc.host_threads);
-    out.push_str("  \"kernels\": [\n");
-    for (i, k) in doc.kernels.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", k.name);
-        let _ = writeln!(out, "      \"params\": \"{}\",", k.params);
-        let _ = writeln!(out, "      \"iters\": {},", k.iters);
-        let _ = writeln!(
-            out,
-            "      \"median_ns_per_iter_1_thread\": {},",
-            k.median_ns_1t
-        );
-        let _ = writeln!(
-            out,
-            "      \"median_ns_per_iter_{}_threads\": {},",
-            doc.threads, k.median_ns_nt
-        );
-        match k.allocs_per_iter {
-            Some(n) => {
-                let _ = writeln!(out, "      \"allocs_per_iter\": {n},");
-            }
-            None => out.push_str("      \"allocs_per_iter\": null,\n"),
+/// The paper-experiment kernels, one `info` row each.
+fn run_info_rows(doc: &mut Doc, seed: u64, cfg: &BenchConfig) -> Result<()> {
+    use tsad_archive::builder::{build_entry, Difficulty, Domain};
+    let s = cfg.info_scale.max(1);
+    let iters = cfg.iters;
+
+    let x = ecg(seed, 4000 / s);
+    let q = x[100 / s..(100 + 160) / s].to_vec();
+    info(doc, "mass", iters, &mut || {
+        tsad_core::dist::mass(&q, &x).expect("mass");
+    });
+
+    let x = ecg(seed, 1500 / s);
+    let hotsax_cfg = tsad_detectors::hotsax::HotSaxConfig::default();
+    info(doc, "hotsax", iters, &mut || {
+        tsad_detectors::hotsax::hotsax_discord(&x, 160 / s, &hotsax_cfg).expect("hotsax");
+    });
+
+    let ts = TimeSeries::new("ecg", ecg(seed, 6000 / s))?;
+    let tele = tsad_detectors::telemanom::Telemanom {
+        order: 80 / s,
+        ..Default::default()
+    };
+    info(doc, "telemanom", iters, &mut || {
+        tele.score(&ts, 2000 / s).expect("telemanom");
+    });
+
+    info_scoring_protocols(doc, iters)?;
+    info_streaming_ports(doc, seed, 20_000 / s, iters)?;
+
+    info(doc, "archive_generate", iters, &mut || {
+        for domain in [
+            Domain::Physiology,
+            Domain::Gait,
+            Domain::Industry,
+            Domain::Space,
+            Domain::Robotics,
+        ] {
+            build_entry(seed, domain, Difficulty::Medium);
         }
-        match k.speedup(doc.host_threads) {
-            Some(s) => {
-                let _ = writeln!(out, "      \"speedup\": {s:.3},");
-            }
-            None => out.push_str("      \"speedup\": null,\n"),
+    });
+    let entry = build_entry(seed, Domain::Space, Difficulty::Medium);
+    let validation = tsad_archive::validate::ValidationConfig::default();
+    info(doc, "archive_validate", iters, &mut || {
+        tsad_archive::validate::validate(&entry.dataset, &validation).expect("validate");
+    });
+    let datasets: Vec<tsad_core::Dataset> = (0..4)
+        .map(|k| build_entry(seed + k, Domain::Robotics, Difficulty::Medium).dataset)
+        .collect();
+    let zscore = tsad_detectors::baselines::GlobalZScore;
+    info(doc, "archive_contest", iters, &mut || {
+        tsad_archive::contest::run_contest(&zscore as &dyn Detector, &datasets).expect("contest");
+    });
+
+    use tsad_synth::yahoo::{self, Family};
+    let table1: Vec<_> = Family::all()
+        .into_iter()
+        .flat_map(|f| (1..=(4 / s).max(1)).map(move |i| yahoo::generate(seed, f, i)))
+        .collect();
+    let search_cfg = tsad_detectors::oneliner::SearchConfig::default();
+    info(doc, "table1_search", iters, &mut || {
+        for y in &table1 {
+            tsad_detectors::oneliner::search(y.dataset.values(), y.dataset.labels(), &search_cfg)
+                .expect("one-liner search");
         }
-        let _ = writeln!(out, "      \"dispatch\": \"{}\",", k.dispatch);
-        let _ = writeln!(out, "      \"lane_width\": {},", k.lane_width);
-        let _ = writeln!(out, "      \"obs\": {}", tsad_obs::render_json(&k.obs, 6));
-        out.push_str(if i + 1 < doc.kernels.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    });
+
+    info(doc, "fig8", iters, &mut || {
+        crate::experiments::taxi::fig8(seed, 1).expect("fig8");
+    });
+
+    let fig13 = tsad_synth::physio::fig13_ecg_with(
+        seed,
+        0.5,
+        &tsad_synth::physio::PhysioConfig {
+            n: 4000 / s,
+            pvc_beat: Some(18 / s),
+            ..Default::default()
+        },
+        1200 / s,
+    );
+    let tele = tsad_detectors::telemanom::Telemanom {
+        order: 160 / s,
+        ..Default::default()
+    };
+    let discord = DiscordDetector::euclidean(160 / s);
+    info(doc, "fig13", iters, &mut || {
+        tele.score(fig13.series(), fig13.train_len())
+            .expect("telemanom");
+        discord
+            .score(fig13.series(), fig13.train_len())
+            .expect("discord");
+    });
+    Ok(())
+}
+
+/// Every scoring protocol of §2.3/§4.4 over one fixed prediction set.
+fn info_scoring_protocols(doc: &mut Doc, iters: usize) -> Result<()> {
+    use tsad_eval::nab::{nab_score, NabProfile};
+    use tsad_eval::range::{range_f1, RangeParams};
+    use tsad_eval::scoring::{best_f1_over_thresholds, point_adjust_f1, pointwise_f1, F1Protocol};
+    let n = 10_000;
+    let labels = Labels::new(
+        n,
+        vec![
+            Region::new(2_000, 2_050)?,
+            Region::new(5_000, 5_010)?,
+            Region::new(8_000, 8_200)?,
+        ],
+    )?;
+    let predicted: Vec<bool> = (0..n)
+        .map(|i| (2_010..2_030).contains(&i) || i == 5_005)
+        .collect();
+    let score: Vec<f64> = (0..n)
+        .map(|i| {
+            ((i * 2_654_435_761) % 1_000) as f64 / 1_000.0
+                + if labels.contains(i) { 0.5 } else { 0.0 }
+        })
+        .collect();
+    let detections: Vec<usize> = (0..n).filter(|&i| predicted[i]).collect();
+    let pred_labels = Labels::from_mask(&predicted);
+    info(doc, "scoring_protocols", iters, &mut || {
+        pointwise_f1(&predicted, &labels).expect("pointwise");
+        point_adjust_f1(&predicted, &labels).expect("point-adjust");
+        nab_score(&detections, &labels, NabProfile::standard()).expect("nab");
+        range_f1(&pred_labels, &labels, RangeParams::default()).expect("range");
+        best_f1_over_thresholds(&score, &labels, F1Protocol::Pointwise).expect("best-f1");
+    });
+    Ok(())
+}
+
+/// One pass of every native streaming port (and the batch adapter) over a
+/// cycled NYC-taxi stream.
+fn info_streaming_ports(doc: &mut Doc, seed: u64, n: usize, iters: usize) -> Result<()> {
+    use tsad_detectors::baselines::GlobalZScore;
+    use tsad_detectors::cusum::Cusum;
+    use tsad_detectors::oneliner::{equation, Equation};
+    use tsad_stream::{
+        BatchAdapter, StreamingCusum, StreamingGlobalZScore, StreamingMovingAvgResidual,
+        StreamingOneLiner,
+    };
+    let taxi = tsad_synth::numenta::nyc_taxi(seed);
+    let xs: Vec<f64> = taxi
+        .dataset
+        .values()
+        .iter()
+        .copied()
+        .cycle()
+        .take(n)
+        .collect();
+    let train = n / 4;
+    let mut ports: Vec<Box<dyn StreamingDetector>> = vec![
+        Box::new(StreamingGlobalZScore::new(train)?),
+        Box::new(StreamingCusum::new(Cusum::default(), train)?),
+        Box::new(StreamingMovingAvgResidual::new(21)?),
+        Box::new(StreamingOneLiner::compile(&equation(
+            Equation::Eq5,
+            21,
+            3.0,
+            0.1,
+        ))?),
+        Box::new(BatchAdapter::new(GlobalZScore, 512, 128, 128)?),
+    ];
+    info(doc, "streaming_ports", iters, &mut || {
+        for det in &mut ports {
+            det.reset();
+            std::hint::black_box(det.score_stream(&xs));
+        }
+    });
+    Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One smoke run shared by the tests that only read it.
+    pub(crate) fn smoke_doc() -> &'static Doc {
+        static DOC: OnceLock<Doc> = OnceLock::new();
+        DOC.get_or_init(|| run(42, &BenchConfig::smoke()).expect("kernels smoke run"))
+    }
+
+    const KERNELS: [&str; 4] = [
+        "stomp",
+        "merlin",
+        "sliding_dot_product",
+        "streaming_replay_left_discord",
+    ];
 
     #[test]
     fn smoke_run_produces_wellformed_json() {
-        let doc = run(42, &BenchConfig::smoke()).unwrap();
-        assert_eq!(doc.kernels.len(), 4);
-        let json = render(&doc);
-        // structural sanity without a JSON parser: balanced braces/brackets
-        // and every expected field present
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = smoke_doc();
+        let json = doc.render();
+        crate::minijson::parse(&json).expect("valid JSON");
+        let back = Doc::parse(&json).unwrap();
+        assert_eq!(back.rows, doc.rows);
+        assert_eq!(back.suite, "kernels");
         for field in [
-            "\"schema\": \"tsad-bench-kernels/v4\"",
+            "\"schema\": \"tsad-bench/v1\"",
             "\"obs\"",
             "\"tsad-obs/v1\"",
-            "\"seed\"",
-            "\"threads\"",
-            "\"host_threads\"",
-            "\"kernels\"",
-            "\"median_ns_per_iter_1_thread\"",
-            "\"allocs_per_iter\"",
-            "\"speedup\"",
-            "\"dispatch\"",
-            "\"lane_width\"",
-            "\"stomp\"",
-            "\"merlin\"",
-            "\"sliding_dot_product\"",
-            "\"streaming_replay_left_discord\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }
-        // no trailing commas (the classic handwritten-JSON bug)
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains(",\n    }"));
+        for k in KERNELS {
+            for metric in ["wall_ns_1t", "wall_ns_4t", "speedup", "allocs_per_iter"] {
+                assert!(doc.row(k, metric).is_some(), "{k}/{metric}");
+            }
+        }
     }
 
     #[test]
     fn smoke_run_embeds_nonzero_obs_snapshots() {
-        let doc = run(42, &BenchConfig::smoke()).unwrap();
+        let doc = smoke_doc();
         let kernel = |name: &str| {
-            doc.kernels
+            &doc.obs
                 .iter()
-                .find(|k| k.name == name)
+                .find(|(case, _)| case == name)
                 .unwrap_or_else(|| panic!("kernel {name} missing"))
+                .1
         };
         // the sliding dot product is past the FFT crossover: warm
         // iterations hit the cached rfft plan
         let sdp = kernel("sliding_dot_product");
         assert!(
-            sdp.obs.counter("core.fft.plan_hit").unwrap_or(0) > 0,
-            "sdp snapshot lacks FFT plan hits: {:?}",
-            sdp.obs
+            sdp.counter("core.fft.plan_hit").unwrap_or(0) > 0,
+            "sdp snapshot lacks FFT plan hits: {sdp:?}"
         );
-        assert!(sdp.obs.counter("core.fft.scratch_reuse").unwrap_or(0) > 0);
+        assert!(sdp.counter("core.fft.scratch_reuse").unwrap_or(0) > 0);
         // every STOMP band fill is timed, on workers and the caller alike
         let stomp = kernel("stomp");
         let band = stomp
-            .obs
             .histogram("detectors.stomp.band_ns")
             .expect("stomp snapshot lacks band timings");
         assert!(band.count > 0 && band.sum > 0);
         assert!(
             stomp
-                .obs
                 .histogram("parallel.worker.busy_ns")
                 .is_some_and(|h| h.count > 0),
-            "stomp snapshot lacks worker utilization: {:?}",
-            stomp.obs
+            "stomp snapshot lacks worker utilization: {stomp:?}"
         );
         // MERLIN's phase 1 prunes almost everything on a smooth series
         let merlin = kernel("merlin");
+        assert!(merlin.counter("detectors.merlin.drag_passes").unwrap_or(0) > 0);
         assert!(
             merlin
-                .obs
-                .counter("detectors.merlin.drag_passes")
-                .unwrap_or(0)
-                > 0
-        );
-        assert!(
-            merlin
-                .obs
                 .counter("detectors.merlin.windows_pruned")
                 .unwrap_or(0)
                 > 0
         );
         // the replay kernel reports throughput and per-chunk latency
         let rep = kernel("streaming_replay_left_discord");
-        assert!(rep.obs.counter("stream.replay.points").unwrap_or(0) > 0);
+        assert!(rep.counter("stream.replay.points").unwrap_or(0) > 0);
         assert!(rep
-            .obs
             .histogram("stream.replay.chunk_push_ns")
             .is_some_and(|h| h.count > 0));
     }
@@ -453,31 +492,29 @@ mod tests {
     fn forced_scalar_reports_scalar_dispatch() {
         use tsad_core::simd::{self, Backend};
         let doc = simd::with_backend(Backend::Scalar, || run(11, &BenchConfig::smoke()).unwrap());
-        for k in &doc.kernels {
-            assert_eq!(k.dispatch, "scalar", "{}", k.name);
-            assert_eq!(k.lane_width, 1, "{}", k.name);
-        }
-        let json = render(&doc);
+        assert_eq!(doc.env.dispatch, "scalar");
+        assert_eq!(doc.env.lane_width, 1);
+        let json = doc.render();
         assert!(json.contains("\"dispatch\": \"scalar\""));
         assert!(json.contains("\"lane_width\": 1"));
     }
 
     #[test]
     fn dispatch_matches_the_resolved_backend() {
-        let doc = run(13, &BenchConfig::smoke()).unwrap();
         let current = tsad_core::simd::current();
-        for k in &doc.kernels {
-            assert_eq!(k.dispatch, current.name(), "{}", k.name);
-            assert_eq!(k.lane_width, current.lane_width(), "{}", k.name);
-        }
+        assert_eq!(smoke_doc().env.dispatch, current.name());
+        assert_eq!(smoke_doc().env.lane_width, current.lane_width() as u64);
     }
 
     #[test]
     fn timings_are_positive() {
-        let doc = run(7, &BenchConfig::smoke()).unwrap();
-        for k in doc.kernels {
-            assert!(k.median_ns_1t > 0, "{}", k.name);
-            assert!(k.median_ns_nt > 0, "{}", k.name);
+        for r in smoke_doc().rows.iter().filter(|r| r.unit == "ns") {
+            assert!(
+                r.value.as_f64().is_some_and(|v| v > 0.0),
+                "{}/{}",
+                r.case,
+                r.metric
+            );
         }
     }
 
@@ -485,27 +522,26 @@ mod tests {
     fn allocs_are_null_without_the_counting_allocator() {
         // the library test binary runs under the plain system allocator, so
         // the document must say "not measured" rather than a bogus zero
-        let doc = run(3, &BenchConfig::smoke()).unwrap();
-        for k in &doc.kernels {
-            assert_eq!(k.allocs_per_iter, None, "{}", k.name);
+        for k in KERNELS {
+            let row = smoke_doc().row(k, "allocs_per_iter").unwrap();
+            assert_eq!(row.value, crate::minijson::JsonValue::Null, "{k}");
         }
-        assert!(render(&doc).contains("\"allocs_per_iter\": null"));
+        assert!(smoke_doc().render().contains("\"value\": null"));
     }
 
     #[test]
     fn speedup_is_null_on_single_cpu_hosts() {
-        let mut doc = run(5, &BenchConfig::smoke()).unwrap();
-        doc.host_threads = 1;
-        assert!(doc.kernels.iter().all(|k| k.speedup(1).is_none()));
-        let json = render(&doc);
-        assert!(json.contains("\"speedup\": null"));
-        assert!(!json.contains("\"speedup\": 0."));
-
-        doc.host_threads = 8;
-        for k in &doc.kernels {
-            let s = k.speedup(doc.host_threads);
-            assert!(s.is_some() && s.unwrap() > 0.0, "{}", k.name);
+        assert_eq!(speedup(1, 200, 100), None);
+        assert_eq!(speedup(8, 200, 0), None);
+        assert_eq!(speedup(8, 200, 100), Some(2.0));
+        let doc = smoke_doc();
+        for k in KERNELS {
+            let row = doc.row(k, "speedup").unwrap();
+            assert_eq!(
+                row.value.as_f64().is_some(),
+                doc.env.host_threads > 1,
+                "{k}"
+            );
         }
-        assert!(!render(&doc).contains("\"speedup\": null"));
     }
 }

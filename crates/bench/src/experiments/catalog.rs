@@ -9,26 +9,24 @@
 //! c·movstd + b` wins, sophistication buys little — exactly §2.2's
 //! "illusion of progress".
 //!
-//! Hit counts are exact integers, deterministic in the seed, so
-//! `BENCH_catalog.json` is gated like `BENCH_faults.json`: a vanished
-//! (detector, family) row or a changed hit count fails the `catalog-smoke`
-//! CI job outright; per-detector wall time is gated at the usual
-//! [`gate::MAX_WALL_RATIO`] above the [`WALL_NOISE_FLOOR_NS`] noise
-//! floor. The scoring loop is deliberately sequential
-//! so wall numbers do not depend on `TSAD_THREADS` — the smoke job runs
-//! the same gate at 1 and 4 threads.
+//! Hit counts are exact integers, deterministic in the seed, so in
+//! `BENCH_catalog.json` every (detector, family) cell's `hits` and
+//! `series` are `exact` rows: a vanished cell or a changed hit count fails
+//! the `catalog-smoke` CI job outright. Per-detector wall time (summed
+//! over families) is gated at [`MAX_WALL_RATIO`] above the
+//! [`WALL_NOISE_FLOOR_NS`] noise floor. The scoring loop is deliberately
+//! sequential so wall numbers do not depend on `TSAD_THREADS` — the smoke
+//! job runs the same gate at 1 and 4 threads.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use tsad_core::{Labels, Result};
 use tsad_detectors::registry::{DetectorRegistry, Params};
 use tsad_eval::report::TextTable;
 use tsad_synth::yahoo::{self, Family};
 
-use crate::gate::{self, CompareReport, CompareRow};
-use crate::minijson::JsonValue;
+use crate::gate::{Doc, Env, Gate, MAX_WALL_RATIO};
+use crate::harness::time;
 
 /// UCR-style slop appended to each labeled region (the archive convention
 /// the paper scores by).
@@ -41,7 +39,7 @@ pub const TRAIN_LEN: usize = 350;
 /// Per-detector walls below this (summed over families) are too small to
 /// ratio-gate honestly — a cheap baseline finishes the whole grid in a
 /// couple of milliseconds, where a page fault or scheduler tick reads as
-/// a 2x "regression". [`compare`] notes such rows instead of gating them;
+/// a 2x "regression". The comparator notes such rows instead of gating them;
 /// the expensive detectors (matrix profile, MERLIN, HOT SAX, 1-NN,
 /// isolation forest) are all far above the floor and stay gated.
 pub const WALL_NOISE_FLOOR_NS: u64 = 20_000_000;
@@ -89,6 +87,8 @@ pub struct CatalogRow {
 pub struct CatalogExperiment {
     /// Seed the benchmark was generated from.
     pub seed: u64,
+    /// Where the run measured (seed, SIMD dispatch, threads).
+    pub env: Env,
     /// Series per family.
     pub per_family: usize,
     /// Registry size when the experiment ran (docs-drift cross-check).
@@ -112,38 +112,49 @@ pub fn run(seed: u64, cfg: &CatalogConfig) -> Result<CatalogExperiment> {
     for entry in reg.entries() {
         for family in Family::all() {
             let count = cfg.per_family.min(family.size());
-            let started = Instant::now();
             let mut hits = 0;
-            for index in 1..=count {
-                let series = yahoo::generate(seed, family, index);
-                let det = entry.build(&Params::new())?;
-                // a detector refusing a series (e.g. the seasonal methods
-                // on an aperiodic signal) is a deterministic miss, not an
-                // experiment failure
-                let Ok(scores) = det.score(series.dataset.series(), TRAIN_LEN) else {
-                    continue;
-                };
-                let pred = scores
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                if is_hit(pred, series.dataset.labels()) {
-                    hits += 1;
+            let mut built = Ok(());
+            // one sample: the cell's wall is the whole sequential pass
+            let wall = time(0, 1, &mut || {
+                for index in 1..=count {
+                    let series = yahoo::generate(seed, family, index);
+                    let det = match entry.build(&Params::new()) {
+                        Ok(det) => det,
+                        Err(e) => {
+                            built = Err(e);
+                            return;
+                        }
+                    };
+                    // a detector refusing a series (e.g. the seasonal
+                    // methods on an aperiodic signal) is a deterministic
+                    // miss, not an experiment failure
+                    let Ok(scores) = det.score(series.dataset.series(), TRAIN_LEN) else {
+                        continue;
+                    };
+                    let pred = scores
+                        .iter()
+                        .enumerate()
+                        .max_by(|a, b| a.1.total_cmp(b.1))
+                        .map(|(i, _)| i)
+                        .unwrap_or(0);
+                    if is_hit(pred, series.dataset.labels()) {
+                        hits += 1;
+                    }
                 }
-            }
+            });
+            built?;
             rows.push(CatalogRow {
                 detector: entry.id.to_string(),
                 family: family.to_string(),
                 hits,
                 series: count,
-                wall_ns: started.elapsed().as_nanos() as u64,
+                wall_ns: wall.median_ns,
             });
         }
     }
     Ok(CatalogExperiment {
         seed,
+        env: Env::current(seed),
         per_family: cfg.per_family,
         detector_count: reg.len(),
         rows,
@@ -209,167 +220,30 @@ pub fn render(exp: &CatalogExperiment) -> String {
     out
 }
 
-/// Renders the machine-readable `BENCH_catalog.json` document.
-pub fn render_json(exp: &CatalogExperiment) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"tsad-bench-catalog/v1\",");
-    let _ = writeln!(out, "  \"seed\": {},", exp.seed);
-    let _ = writeln!(out, "  \"per_family\": {},", exp.per_family);
-    let _ = writeln!(out, "  \"detectors\": {},", exp.detector_count);
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in exp.rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"detector\": \"{}\", \"family\": \"{}\", \"hits\": {}, \
-             \"series\": {}, \"wall_ns\": {}}}",
-            r.detector, r.family, r.hits, r.series, r.wall_ns
-        );
-        out.push_str(if i + 1 == exp.rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn extract_rows(doc_name: &str, doc: &JsonValue) -> std::result::Result<Vec<CatalogRow>, String> {
-    let rows = doc
-        .get("rows")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("{doc_name}: missing \"rows\" array"))?;
-    rows.iter()
-        .map(|r| {
-            let field_str = |k: &str| {
-                r.get(k)
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{doc_name}: row missing string {k:?}"))
-            };
-            let field_u64 = |k: &str| {
-                r.get(k)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("{doc_name}: row missing integer {k:?}"))
-            };
-            Ok(CatalogRow {
-                detector: field_str("detector")?,
-                family: field_str("family")?,
-                hits: field_u64("hits")? as usize,
-                series: field_u64("series")? as usize,
-                wall_ns: field_u64("wall_ns")?,
-            })
-        })
-        .collect()
-}
-
-/// Compares a committed baseline against a fresh run:
-///
-/// * every baseline (detector, family) row must exist in the fresh run
-///   with **identical** `hits` and `series` (scores are deterministic, so
-///   there is no noise margin) — fresh-only rows are fine, that is what a
-///   catalog addition looks like;
-/// * per-detector wall time (summed over families) must stay within
-///   [`gate::MAX_WALL_RATIO`] — unless both sides sit under
-///   [`WALL_NOISE_FLOOR_NS`], where the ratio measures scheduler jitter
-///   rather than the detector and is only noted.
-pub fn compare(baseline: &str, fresh: &str) -> std::result::Result<CompareReport, String> {
-    let (base_doc, fresh_doc) = gate::parse_same_schema(
-        baseline,
-        fresh,
-        "tsad-bench-catalog/",
-        "cargo run --release -p tsad-bench --bin repro -- catalog-json",
-    )?;
-    let base = extract_rows("baseline", &base_doc)?;
-    let new = extract_rows("fresh", &fresh_doc)?;
-    let mut report = CompareReport::default();
-
-    for b in &base {
-        match new
-            .iter()
-            .find(|f| f.detector == b.detector && f.family == b.family)
-        {
-            None => report.failures.push(format!(
-                "row vanished from fresh run: detector={} family={}",
-                b.detector, b.family
-            )),
-            Some(f) if (f.hits, f.series) != (b.hits, b.series) => report.failures.push(format!(
-                "hit count changed: detector={} family={}: baseline {}/{} vs fresh {}/{}",
-                b.detector, b.family, b.hits, b.series, f.hits, f.series
-            )),
-            Some(_) => {}
+/// The `BENCH_catalog.json` rows: per cell, `hits` and `series` exact
+/// and the cell wall as `info`; per detector, the family-summed wall at
+/// [`MAX_WALL_RATIO`] above [`WALL_NOISE_FLOOR_NS`].
+pub fn to_doc(exp: &CatalogExperiment) -> Doc {
+    let mut doc = Doc::new("catalog", exp.env.clone());
+    let wall = Gate::MaxRatio {
+        r: MAX_WALL_RATIO,
+        floor_ns: WALL_NOISE_FLOOR_NS,
+        same_threads: false,
+    };
+    let mut detectors: Vec<&str> = exp.rows.iter().map(|r| r.detector.as_str()).collect();
+    detectors.dedup();
+    for det in detectors {
+        let mut sum = 0;
+        for r in exp.rows.iter().filter(|r| r.detector == det) {
+            let case = format!("{}/{}", r.detector, r.family);
+            doc.push(&case, "hits", "series", r.hits as u64, Gate::Exact);
+            doc.push(&case, "series", "series", r.series as u64, Gate::Exact);
+            doc.push(&case, "wall_ns", "ns", r.wall_ns, Gate::Info);
+            sum += r.wall_ns;
         }
+        doc.push(det, "wall_ns", "ns", sum, wall);
     }
-    for f in &new {
-        if !base
-            .iter()
-            .any(|b| b.detector == f.detector && b.family == f.family)
-        {
-            report.notes.push(format!(
-                "new row (not in baseline): detector={} family={}",
-                f.detector, f.family
-            ));
-        }
-    }
-
-    // wall ratio per detector, families summed: single cells are too small
-    // to gate without noise
-    let mut base_wall: BTreeMap<&str, u64> = BTreeMap::new();
-    for b in &base {
-        *base_wall.entry(b.detector.as_str()).or_default() += b.wall_ns;
-    }
-    let mut fresh_wall: BTreeMap<&str, u64> = BTreeMap::new();
-    for f in &new {
-        *fresh_wall.entry(f.detector.as_str()).or_default() += f.wall_ns;
-    }
-    for (det, &base_ns) in &base_wall {
-        let fresh_ns = fresh_wall.get(det).copied();
-        // below the noise floor the ratio is dominated by scheduler and
-        // page-fault jitter, not the detector: note it, never gate it
-        if base_ns < WALL_NOISE_FLOOR_NS && fresh_ns.is_some_and(|f| f < WALL_NOISE_FLOOR_NS) {
-            report.notes.push(format!(
-                "{det}: wall under the {} ms noise floor on both sides; ratio not gated",
-                WALL_NOISE_FLOOR_NS / 1_000_000
-            ));
-            report.rows.push(CompareRow {
-                name: (*det).to_string(),
-                base_ns: Some(base_ns),
-                fresh_ns,
-                ratio: fresh_ns.map(|f| f as f64 / base_ns as f64),
-                base_allocs: None,
-                fresh_allocs: None,
-            });
-            continue;
-        }
-        let ratio = gate::gate_wall_ratio(
-            &mut report,
-            det,
-            Some(base_ns),
-            fresh_ns,
-            gate::MAX_WALL_RATIO,
-        );
-        report.rows.push(CompareRow {
-            name: (*det).to_string(),
-            base_ns: Some(base_ns),
-            fresh_ns,
-            ratio,
-            base_allocs: None,
-            fresh_allocs: None,
-        });
-    }
-    Ok(report)
-}
-
-/// File-based gate for the CLI: reads both documents, returns the rendered
-/// report (as `Err` when the gate fails).
-pub fn run_files(baseline_path: &str, fresh_path: &str) -> std::result::Result<String, String> {
-    let baseline =
-        std::fs::read_to_string(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let fresh =
-        std::fs::read_to_string(fresh_path).map_err(|e| format!("read {fresh_path}: {e}"))?;
-    let report = compare(&baseline, &fresh)?;
-    let rendered = gate::render(&report);
-    if report.passed() {
-        Ok(rendered)
-    } else {
-        Err(rendered)
-    }
+    doc
 }
 
 /// Generates `DETECTORS.md` from the live registry — the committed copy is
@@ -432,9 +306,14 @@ pub fn detectors_md() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::compare;
 
     fn tiny() -> CatalogExperiment {
         run(7, &CatalogConfig { per_family: 1 }).unwrap()
+    }
+
+    fn json(exp: &CatalogExperiment) -> String {
+        to_doc(exp).render()
     }
 
     #[test]
@@ -451,25 +330,38 @@ mod tests {
         for (x, y) in a.rows.iter().zip(&b.rows) {
             assert_eq!((x.hits, x.series), (y.hits, y.series), "{}", x.detector);
         }
-        let json = render_json(&a);
-        let report = compare(&json, &json).unwrap();
+        // a real smoke run compares clean against itself, and against a
+        // second run
+        let report = compare(&json(&a), &json(&a)).unwrap();
         assert!(report.passed(), "{:?}", report.failures);
+        let report = compare(&json(&a), &json(&b)).unwrap();
+        assert!(report.failures.iter().all(|f| f.contains("regression")));
     }
 
     #[test]
     fn compare_fails_on_changed_hits_and_vanished_rows() {
         let exp = tiny();
-        let json = render_json(&exp);
+        let base = json(&exp);
         let mut tampered = exp.clone();
         tampered.rows[0].hits += 1;
-        let report = compare(&json, &render_json(&tampered)).unwrap();
-        assert!(!report.passed());
+        let report = compare(&base, &json(&tampered)).unwrap();
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("/hits: value changed")),
+            "{:?}",
+            report.failures
+        );
 
         let mut shrunk = exp.clone();
         shrunk.rows.remove(0);
-        let report = compare(&json, &render_json(&shrunk)).unwrap();
+        let report = compare(&base, &json(&shrunk)).unwrap();
         assert!(
-            report.failures.iter().any(|f| f.contains("vanished")),
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("missing from the fresh run")),
             "{:?}",
             report.failures
         );
@@ -478,6 +370,7 @@ mod tests {
     fn one_row(wall_ns: u64) -> CatalogExperiment {
         CatalogExperiment {
             seed: 7,
+            env: Env::current(7),
             per_family: 1,
             detector_count: 1,
             rows: vec![CatalogRow {
@@ -494,29 +387,22 @@ mod tests {
     fn wall_ratio_gates_above_the_noise_floor_and_notes_below_it() {
         // below the floor on both sides: an arbitrarily bad ratio is a
         // note, not a failure
-        let report = compare(
-            &render_json(&one_row(1_000_000)),
-            &render_json(&one_row(10_000_000)),
-        )
-        .unwrap();
+        let report = compare(&json(&one_row(1_000_000)), &json(&one_row(10_000_000))).unwrap();
         assert!(report.passed(), "{:?}", report.failures);
         assert!(
-            report.notes.iter().any(|n| n.contains("noise floor")),
+            report.notes.iter().any(|n| n.contains("floor")),
             "{:?}",
             report.notes
         );
 
         // above the floor: the same 10x ratio fails the gate
         let report = compare(
-            &render_json(&one_row(WALL_NOISE_FLOOR_NS)),
-            &render_json(&one_row(WALL_NOISE_FLOOR_NS * 10)),
+            &json(&one_row(WALL_NOISE_FLOOR_NS)),
+            &json(&one_row(WALL_NOISE_FLOOR_NS * 10)),
         )
         .unwrap();
         assert!(
-            report
-                .failures
-                .iter()
-                .any(|f| f.contains("wall-time regression")),
+            report.failures.iter().any(|f| f.contains("regression")),
             "{:?}",
             report.failures
         );

@@ -18,9 +18,9 @@
 //!   detector), cross-checked against the injection report.
 //!
 //! Every number here is a deterministic function of the seed — no wall
-//! clock — so `BENCH_faults.json` is byte-stable and CI gates on *exact*
-//! row equality ([`compare`]): a vanished profile, detector, or flipped
-//! outcome fails the `fault-matrix` job.
+//! clock — so every field of every cell is an `exact` row of
+//! `BENCH_faults.json`: a vanished profile, detector, or flipped outcome
+//! fails the `fault-matrix` job.
 
 use std::fmt::Write as _;
 
@@ -36,7 +36,7 @@ use tsad_stream::{
     StreamingMovingAvgResidual, StreamingOneLiner,
 };
 
-use crate::minijson::{parse, JsonValue};
+use crate::gate::{Doc, Env, Gate};
 
 /// UCR-style slop appended to each labeled region when scoring alarms.
 const SLOP: usize = 100;
@@ -73,6 +73,8 @@ pub struct FaultRow {
 pub struct FaultsExperiment {
     /// Seed the injections and series were generated from.
     pub seed: u64,
+    /// Where the run measured (seed, SIMD dispatch, threads).
+    pub env: Env,
     /// One row per family × profile × detector.
     pub rows: Vec<FaultRow>,
 }
@@ -177,7 +179,11 @@ pub fn run(seed: u64) -> Result<FaultsExperiment> {
             }
         }
     }
-    Ok(FaultsExperiment { seed, rows })
+    Ok(FaultsExperiment {
+        seed,
+        env: Env::current(seed),
+        rows,
+    })
 }
 
 /// Renders the human-readable table: one block per family, profiles as
@@ -220,141 +226,36 @@ pub fn render(exp: &FaultsExperiment) -> String {
     out
 }
 
-/// Renders the machine-readable `BENCH_faults.json` document.
-pub fn render_json(exp: &FaultsExperiment) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"tsad-bench-faults/v1\",");
-    let _ = writeln!(out, "  \"seed\": {},", exp.seed);
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in exp.rows.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"profile\": \"{}\", \"dataset\": \"{}\", \"detector\": \"{}\", \
-             \"injected_points\": {}, \"quarantined\": {}, \"ucr_hit\": {}, \
-             \"detected\": {}, \"regions\": {}, \"false_alarms\": {}, \
-             \"total_alarms\": {}",
-            r.profile,
-            r.dataset,
-            r.detector,
-            r.injected_points,
-            r.quarantined,
-            r.ucr_hit,
-            r.detected,
-            r.regions,
-            r.false_alarms,
-            r.total_alarms
-        );
-        out.push_str(if i + 1 == exp.rows.len() {
-            "}\n"
-        } else {
-            "},\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn extract_rows(doc_name: &str, text: &str) -> std::result::Result<Vec<FaultRow>, String> {
-    let doc = parse(text).map_err(|e| format!("{doc_name}: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("{doc_name}: missing \"schema\""))?;
-    if !schema.starts_with("tsad-bench-faults/") {
-        return Err(format!("{doc_name}: unexpected schema {schema:?}"));
-    }
-    let rows = doc
-        .get("rows")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("{doc_name}: missing \"rows\" array"))?;
-    rows.iter()
-        .map(|r| {
-            let field_str = |k: &str| {
-                r.get(k)
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{doc_name}: row missing string {k:?}"))
-            };
-            let field_u64 = |k: &str| {
-                r.get(k)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("{doc_name}: row missing integer {k:?}"))
-            };
-            Ok(FaultRow {
-                profile: field_str("profile")?,
-                dataset: field_str("dataset")?,
-                detector: field_str("detector")?,
-                injected_points: field_u64("injected_points")? as usize,
-                quarantined: field_u64("quarantined")?,
-                ucr_hit: r
-                    .get("ucr_hit")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or_else(|| format!("{doc_name}: row missing bool \"ucr_hit\""))?,
-                detected: field_u64("detected")? as usize,
-                regions: field_u64("regions")? as usize,
-                false_alarms: field_u64("false_alarms")? as usize,
-                total_alarms: field_u64("total_alarms")? as usize,
-            })
-        })
-        .collect()
-}
-
-/// Compares a committed baseline against a fresh run. The matrix is fully
-/// deterministic, so the gate is exact: every baseline row must exist in
-/// the fresh document with identical values. A vanished (profile, dataset,
-/// detector) row is a hard failure; fresh-only rows are allowed (that is
-/// what adding a profile looks like). Returns the failure list (empty =
-/// gate passes).
-pub fn compare(baseline: &str, fresh: &str) -> std::result::Result<Vec<String>, String> {
-    let base = extract_rows("baseline", baseline)?;
-    let new = extract_rows("fresh", fresh)?;
-    let mut failures = Vec::new();
-    for b in &base {
-        let key = (b.profile.as_str(), b.dataset.as_str(), b.detector.as_str());
-        match new
-            .iter()
-            .find(|f| (f.profile.as_str(), f.dataset.as_str(), f.detector.as_str()) == key)
-        {
-            None => failures.push(format!(
-                "row vanished from fresh run: profile={} dataset={} detector={}",
-                b.profile, b.dataset, b.detector
-            )),
-            Some(f) if f != b => failures.push(format!(
-                "row changed: profile={} dataset={} detector={}: \
-                 baseline {b:?} vs fresh {f:?}",
-                b.profile, b.dataset, b.detector
-            )),
-            Some(_) => {}
+/// The `BENCH_faults.json` rows: every field of every cell, `exact`.
+pub fn to_doc(exp: &FaultsExperiment) -> Doc {
+    let mut doc = Doc::new("faults", exp.env.clone());
+    for r in &exp.rows {
+        let case = format!("{}/{}/{}", r.dataset, r.profile, r.detector);
+        let points = [
+            ("injected_points", r.injected_points as u64),
+            ("quarantined", r.quarantined),
+        ];
+        for (metric, v) in points {
+            doc.push(&case, metric, "points", v, Gate::Exact);
+        }
+        doc.push(&case, "ucr_hit", "bool", r.ucr_hit, Gate::Exact);
+        doc.push(&case, "detected", "regions", r.detected as u64, Gate::Exact);
+        doc.push(&case, "regions", "regions", r.regions as u64, Gate::Exact);
+        let alarms = [
+            ("false_alarms", r.false_alarms),
+            ("total_alarms", r.total_alarms),
+        ];
+        for (metric, v) in alarms {
+            doc.push(&case, metric, "alarms", v as u64, Gate::Exact);
         }
     }
-    Ok(failures)
-}
-
-/// File-based gate for the CLI: reads both documents, prints nothing on
-/// success, returns the rendered failures as `Err` otherwise.
-pub fn run_files(baseline_path: &str, fresh_path: &str) -> std::result::Result<String, String> {
-    let baseline =
-        std::fs::read_to_string(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let fresh =
-        std::fs::read_to_string(fresh_path).map_err(|e| format!("read {fresh_path}: {e}"))?;
-    let failures = compare(&baseline, &fresh)?;
-    if failures.is_empty() {
-        Ok(format!(
-            "fault-matrix gate: {} baseline rows all present and identical\n",
-            extract_rows("baseline", &baseline)?.len()
-        ))
-    } else {
-        Err(format!(
-            "fault-matrix gate FAILED:\n  {}\n",
-            failures.join("\n  ")
-        ))
-    }
+    doc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::compare;
     use crate::DEFAULT_SEED;
 
     fn small_run() -> FaultsExperiment {
@@ -390,21 +291,26 @@ mod tests {
     #[test]
     fn json_round_trips_and_gate_is_exact() {
         let exp = small_run();
-        let json = render_json(&exp);
-        let parsed = extract_rows("doc", &json).unwrap();
-        assert_eq!(parsed, exp.rows);
+        let doc = to_doc(&exp);
+        assert_eq!(doc.rows.len(), exp.rows.len() * 7);
+        assert!(doc.rows.iter().all(|r| r.gate == Gate::Exact));
+        let json = doc.render();
+        assert_eq!(Doc::parse(&json).unwrap().rows, doc.rows);
         // identical documents pass
-        assert!(compare(&json, &json).unwrap().is_empty());
-        // a vanished row fails
+        assert!(compare(&json, &json).unwrap().passed());
+        // a vanished cell fails, once per field
         let mut truncated = exp.clone();
         truncated.rows.pop();
-        let failures = compare(&json, &render_json(&truncated)).unwrap();
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("vanished"));
+        let report = compare(&json, &to_doc(&truncated).render()).unwrap();
+        assert_eq!(report.failures.len(), 7);
+        assert!(report.failures[0].contains("missing from the fresh run"));
         // a flipped outcome fails
         let mut flipped = exp.clone();
         flipped.rows[0].ucr_hit = !flipped.rows[0].ucr_hit;
-        let failures = compare(&json, &render_json(&flipped)).unwrap();
-        assert!(failures.iter().any(|f| f.contains("row changed")));
+        let report = compare(&json, &to_doc(&flipped).render()).unwrap();
+        assert!(report
+            .failures
+            .iter()
+            .any(|f| f.contains("/ucr_hit: value changed")));
     }
 }

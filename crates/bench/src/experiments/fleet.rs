@@ -1,4 +1,4 @@
-//! `fleet` / `fleet-json` — the million-series fleet engine, end to end.
+//! `fleet` / `bench fleet` — the million-series fleet engine, end to end.
 //!
 //! Drives a [`tsad_fleet::Fleet`] of `Sanitized<StreamingCusum>` detectors
 //! through batched multi-series ingestion and reports:
@@ -21,18 +21,13 @@
 //! * **Footprint** — accounted bytes per resident series and the total
 //!   checkpoint size.
 //!
-//! `fleet-json` renders the same run as `BENCH_fleet.json` (schema
-//! `tsad-bench-fleet/v2`), which CI gates via `repro -- fleet-compare`:
-//! wall time relatively (like the kernel gate), allocations and the
-//! bitwise bit exactly. Schema v2 adds the SIMD dispatch the run resolved
-//! to — `"dispatch"` (the backend name) and `"lane_width"` (f64 lanes per
-//! vector), both from [`tsad_core::simd::current`] at measure time — so a
-//! wall-time drift on a machine that dispatched differently (or under a
-//! `TSAD_SIMD` override) is attributable instead of mysterious.
+//! `bench fleet` renders the same run as `BENCH_fleet.json`: the
+//! 1-thread round wall is gated at [`Gate::WALL`], `allocs_per_point`
+//! `exact`, `bytes_per_series` at [`MAX_BYTES_PER_SERIES_RATIO`], the
+//! bitwise bit `must_be_true`, and the geometry (`series`, `shards`)
+//! `exact`.
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
-use std::time::Instant;
 
 use tsad_core::error::Result;
 use tsad_detectors::cusum::Cusum;
@@ -40,7 +35,8 @@ use tsad_fleet::{BatchOutput, Fleet, FleetConfig, SeriesId};
 use tsad_parallel::with_threads;
 use tsad_stream::{FnFactory, NanPolicy, Sanitized, StreamingCusum, StreamingDetector};
 
-use crate::alloc_track::{count_allocs, counting_allocator_active};
+use crate::gate::{Doc, Env, Gate};
+use crate::harness::{allocs, observed, time};
 
 /// Thread count used for the parallel column (matches the kernel panel).
 pub const PAR_THREADS: usize = 4;
@@ -109,9 +105,9 @@ pub struct FleetBench {
     /// Points fed per round (= `cfg.series`; values are always finite).
     pub points_per_round: u64,
     /// Median ns per round at 1 thread.
-    pub median_ns_1t: u128,
+    pub median_ns_1t: u64,
     /// Median ns per round at [`PAR_THREADS`] threads.
-    pub median_ns_nt: u128,
+    pub median_ns_nt: u64,
     /// Heap allocations in one warm single-threaded round, or `None` when
     /// the counting allocator is not installed in this process.
     pub steady_allocs: Option<u64>,
@@ -123,11 +119,8 @@ pub struct FleetBench {
     /// the restored fleet's next-round scores bitwise equal to the
     /// original's.
     pub suspend_resume_bitwise: bool,
-    /// SIMD backend the run dispatched to (`avx2`, `sse2`, `neon`, or
-    /// `scalar`), resolved at measure time via [`tsad_core::simd::current`].
-    pub dispatch: &'static str,
-    /// f64 lanes per vector of that backend.
-    pub lane_width: usize,
+    /// Where the run measured (seed, SIMD dispatch, threads).
+    pub env: Env,
     /// Observability snapshot covering the whole run.
     pub obs: tsad_obs::Snapshot,
 }
@@ -152,7 +145,7 @@ impl FleetBench {
     }
 }
 
-fn points_per_sec(points: u64, ns: u128) -> f64 {
+fn points_per_sec(points: u64, ns: u64) -> f64 {
     if ns == 0 {
         0.0
     } else {
@@ -218,46 +211,42 @@ fn drive_round(
     }
 }
 
-/// Serializes [`run`] calls within one process (the observability registry
-/// is global; see `bench_json` for the same pattern).
-static RUN_LOCK: Mutex<()> = Mutex::new(());
+/// Fresh `bytes_per_series` may be at most this multiple of the baseline
+/// (the accounted footprint is deterministic, so the margin only covers
+/// deliberate, reviewed growth of detector state).
+pub const MAX_BYTES_PER_SERIES_RATIO: f64 = 1.10;
 
 /// Runs the fleet measurement.
 pub fn run(seed: u64, cfg: &FleetBenchConfig) -> Result<FleetBench> {
-    let _serialize = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    tsad_obs::reset_all();
+    let (bench, obs) = observed(|| run_observed(seed, cfg));
+    Ok(FleetBench { obs, ..bench? })
+}
 
+fn run_observed(seed: u64, cfg: &FleetBenchConfig) -> Result<FleetBench> {
+    let env = Env::current(seed);
     let mut fleet = new_fleet(cfg);
     let mut out = BatchOutput::new();
     let mut batch = Vec::with_capacity(cfg.batch_points);
     let mut round = 0u64;
+    let mut next_round = |fleet: &mut Fleet<FleetFactory>| {
+        drive_round(fleet, cfg, seed, round, &mut batch, &mut out, None);
+        round += 1;
+    };
 
     // warm-up: spawn every series, calibrate detectors, grow every
-    // reusable buffer to its high-water mark
-    for _ in 0..cfg.warm_rounds.max(1) {
-        drive_round(&mut fleet, cfg, seed, round, &mut batch, &mut out, None);
-        round += 1;
-    }
-
-    // steady-state allocation count, single-threaded, obs ON
+    // reusable buffer to its high-water mark; then the steady-state
+    // allocation count of one more round, single-threaded, obs ON
     let steady_allocs = with_threads(1, || {
-        drive_round(&mut fleet, cfg, seed, round, &mut batch, &mut out, None);
-        round += 1;
-        counting_allocator_active().then(|| {
-            let allocs = count_allocs(|| {
-                drive_round(&mut fleet, cfg, seed, round, &mut batch, &mut out, None);
-            });
-            round += 1;
-            allocs
-        })
+        for _ in 0..=cfg.warm_rounds.max(1) {
+            next_round(&mut fleet);
+        }
+        allocs(|| next_round(&mut fleet))
     });
 
     // timing columns (medians over cfg.iters rounds each)
-    let median_ns_1t = with_threads(1, || {
-        median_round_ns(&mut fleet, cfg, seed, &mut round, &mut batch, &mut out)
-    });
+    let median_ns_1t = with_threads(1, || time(0, cfg.iters, &mut || next_round(&mut fleet)));
     let median_ns_nt = with_threads(PAR_THREADS, || {
-        median_round_ns(&mut fleet, cfg, seed, &mut round, &mut batch, &mut out)
+        time(0, cfg.iters, &mut || next_round(&mut fleet))
     });
 
     // suspend/resume: thread-count-invariant checkpoint bytes, then a
@@ -292,42 +281,20 @@ pub fn run(seed: u64, cfg: &FleetBenchConfig) -> Result<FleetBench> {
         && !log_a.is_empty()
         && log_a == log_b;
 
-    let backend = tsad_core::simd::current();
     Ok(FleetBench {
         seed,
         cfg: *cfg,
         detector: spawn_detector(0).name(),
         points_per_round: cfg.series,
-        median_ns_1t,
-        median_ns_nt,
+        median_ns_1t: median_ns_1t.median_ns,
+        median_ns_nt: median_ns_nt.median_ns,
         steady_allocs,
         bytes_per_series: fleet.bytes_per_series(),
         checkpoint_bytes: ckpt_1t.total_bytes(),
         suspend_resume_bitwise,
-        dispatch: backend.name(),
-        lane_width: backend.lane_width(),
-        obs: tsad_obs::snapshot(),
+        env,
+        obs: tsad_obs::Snapshot::default(),
     })
-}
-
-fn median_round_ns(
-    fleet: &mut Fleet<FleetFactory>,
-    cfg: &FleetBenchConfig,
-    seed: u64,
-    round: &mut u64,
-    batch: &mut Vec<(SeriesId, f64)>,
-    out: &mut BatchOutput,
-) -> u128 {
-    let mut samples: Vec<u128> = (0..cfg.iters.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            drive_round(fleet, cfg, seed, *round, batch, out, None);
-            *round += 1;
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// Renders the human-readable report for `repro -- fleet`.
@@ -341,7 +308,7 @@ pub fn render(b: &FleetBench) -> String {
     let _ = writeln!(
         out,
         "  dispatch:   {} ({} f64 lanes)",
-        b.dispatch, b.lane_width
+        b.env.dispatch, b.env.lane_width
     );
     let _ = writeln!(
         out,
@@ -381,75 +348,48 @@ pub fn render(b: &FleetBench) -> String {
     out
 }
 
-/// Renders the machine-readable document (`BENCH_fleet.json`).
-pub fn render_json(b: &FleetBench) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"tsad-bench-fleet/v2\",");
-    let _ = writeln!(out, "  \"seed\": {},", b.seed);
-    let _ = writeln!(out, "  \"series\": {},", b.cfg.series);
-    let _ = writeln!(out, "  \"shards\": {},", b.cfg.shards);
-    let _ = writeln!(out, "  \"dispatch\": \"{}\",", b.dispatch);
-    let _ = writeln!(out, "  \"lane_width\": {},", b.lane_width);
-    let _ = writeln!(out, "  \"batch_points\": {},", b.cfg.batch_points);
-    let _ = writeln!(out, "  \"threads\": {PAR_THREADS},");
-    let _ = writeln!(
-        out,
-        "  \"host_threads\": {},",
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    );
-    let _ = writeln!(out, "  \"detector\": \"{}\",", b.detector);
-    let _ = writeln!(out, "  \"points_per_round\": {},", b.points_per_round);
-    let _ = writeln!(
-        out,
-        "  \"median_ns_per_round_1_thread\": {},",
-        b.median_ns_1t
-    );
-    let _ = writeln!(
-        out,
-        "  \"median_ns_per_round_{PAR_THREADS}_threads\": {},",
-        b.median_ns_nt
-    );
-    let _ = writeln!(
-        out,
-        "  \"points_per_sec_1_thread\": {:.0},",
-        b.points_per_sec_1t()
-    );
-    let _ = writeln!(
-        out,
-        "  \"points_per_sec_{PAR_THREADS}_threads\": {:.0},",
-        b.points_per_sec_nt()
-    );
-    match b.steady_allocs {
-        Some(n) => {
-            let _ = writeln!(out, "  \"steady_state_allocs\": {n},");
-        }
-        None => out.push_str("  \"steady_state_allocs\": null,\n"),
-    }
-    match b.allocs_per_point() {
-        Some(n) => {
-            let _ = writeln!(out, "  \"allocs_per_point\": {n},");
-        }
-        None => out.push_str("  \"allocs_per_point\": null,\n"),
-    }
-    let _ = writeln!(out, "  \"bytes_per_series\": {},", b.bytes_per_series);
-    let _ = writeln!(out, "  \"checkpoint_bytes\": {},", b.checkpoint_bytes);
-    let _ = writeln!(
-        out,
-        "  \"suspend_resume_bitwise\": {},",
-        b.suspend_resume_bitwise
-    );
-    let _ = writeln!(out, "  \"obs\": {}", tsad_obs::render_json(&b.obs, 2));
-    out.push_str("}\n");
-    out
+/// The `BENCH_fleet.json` rows.
+pub fn to_doc(b: &FleetBench) -> Doc {
+    let mut doc = Doc::new("fleet", b.env.clone());
+    doc.push("geometry", "series", "series", b.cfg.series, Gate::Exact);
+    let shards = b.cfg.shards as u64;
+    doc.push("geometry", "shards", "shards", shards, Gate::Exact);
+    doc.push("round", "wall_ns_1t", "ns", b.median_ns_1t, Gate::WALL);
+    doc.push("round", "wall_ns_4t", "ns", b.median_ns_nt, Gate::Info);
+    let pps = b.points_per_sec_1t().round();
+    doc.push("round", "points_per_sec_1t", "points/s", pps, Gate::Info);
+    let apr = b.allocs_per_point();
+    doc.push("round", "allocs_per_point", "allocs", apr, Gate::Exact);
+    let footprint = Gate::MaxRatio {
+        r: MAX_BYTES_PER_SERIES_RATIO,
+        floor_ns: 0,
+        same_threads: false,
+    };
+    let bps = b.bytes_per_series as u64;
+    doc.push("footprint", "bytes_per_series", "B", bps, footprint);
+    let ckpt = b.checkpoint_bytes as u64;
+    doc.push("footprint", "checkpoint_bytes", "B", ckpt, Gate::Info);
+    let bit = b.suspend_resume_bitwise;
+    let resume = "suspend_resume_bitwise";
+    doc.push("resume", resume, "bool", bit, Gate::MustBeTrue);
+    doc.obs.push(("run".to_string(), b.obs.clone()));
+    doc
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One smoke run shared by the tests that only read it.
+    pub(crate) fn smoke() -> &'static FleetBench {
+        static RUN: OnceLock<FleetBench> = OnceLock::new();
+        RUN.get_or_init(|| run(42, &FleetBenchConfig::smoke()).expect("fleet smoke run"))
+    }
 
     #[test]
     fn smoke_run_measures_and_resumes_bitwise() {
-        let b = run(42, &FleetBenchConfig::smoke()).unwrap();
+        let b = smoke();
         assert_eq!(b.points_per_round, 2_000);
         assert!(b.median_ns_1t > 0 && b.median_ns_nt > 0);
         assert!(b.points_per_sec_1t() > 0.0);
@@ -463,33 +403,21 @@ mod tests {
 
     #[test]
     fn smoke_json_is_wellformed_and_parses() {
-        let b = run(42, &FleetBenchConfig::smoke()).unwrap();
-        let json = render_json(&b);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let doc = crate::minijson::parse(&json).expect("fleet json parses");
+        let b = smoke();
+        let json = to_doc(b).render();
+        let doc = Doc::parse(&json).expect("fleet json parses");
+        assert_eq!(doc.suite, "fleet");
+        assert_eq!(doc.env.dispatch, tsad_core::simd::current().name());
         assert_eq!(
-            doc.get("schema").and_then(|v| v.as_str()),
-            Some("tsad-bench-fleet/v2")
+            doc.env.lane_width,
+            tsad_core::simd::current().lane_width() as u64
         );
-        assert_eq!(
-            doc.get("dispatch").and_then(|v| v.as_str()),
-            Some(tsad_core::simd::current().name())
-        );
-        assert_eq!(
-            doc.get("lane_width").and_then(|v| v.as_u64()),
-            Some(tsad_core::simd::current().lane_width() as u64)
-        );
-        assert_eq!(
-            doc.get("suspend_resume_bitwise").and_then(|v| v.as_bool()),
-            Some(true)
-        );
-        assert!(doc
-            .get("median_ns_per_round_1_thread")
-            .and_then(|v| v.as_u64())
-            .is_some());
-        assert!(json.contains("\"allocs_per_point\": null"));
-        assert!(!json.contains(",\n}"));
-        let human = render(&b);
+        let row = |m: &str| doc.rows.iter().find(|r| r.metric == m).unwrap();
+        assert_eq!(row("suspend_resume_bitwise").value.as_bool(), Some(true));
+        assert!(row("wall_ns_1t").value.as_u64().is_some());
+        assert!(json
+            .contains("\"metric\": \"allocs_per_point\", \"unit\": \"allocs\", \"value\": null"));
+        let human = render(b);
         assert!(human.contains("points/s"));
         assert!(human.contains("PASS"));
     }
@@ -500,14 +428,13 @@ mod tests {
         let b = simd::with_backend(Backend::Scalar, || {
             run(11, &FleetBenchConfig::smoke()).unwrap()
         });
-        assert_eq!(b.dispatch, "scalar");
-        assert_eq!(b.lane_width, 1);
+        assert_eq!(b.env.dispatch, "scalar");
+        assert_eq!(b.env.lane_width, 1);
     }
 
     #[test]
     fn allocs_per_point_rounds_up_violations() {
-        let b = run(7, &FleetBenchConfig::smoke()).unwrap();
-        let mut with_allocs = b.clone();
+        let mut with_allocs = smoke().clone();
         with_allocs.steady_allocs = Some(0);
         assert_eq!(with_allocs.allocs_per_point(), Some(0));
         with_allocs.steady_allocs = Some(1); // 1 alloc over 2000 points

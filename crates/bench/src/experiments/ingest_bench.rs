@@ -1,16 +1,17 @@
-//! `ingest-json` / `loadgen` — the wire-protocol front-end, measured.
+//! `bench ingest` / `loadgen` — the wire-protocol front-end, measured.
 //!
-//! Three views of the same serving path, reported as `BENCH_ingest.json`
-//! (schema `tsad-bench-ingest/v1`) and gated by `repro -- ingest-compare`:
+//! Three views of the same serving path, reported as `BENCH_ingest.json`:
 //!
 //! * **Per-stage latency** — a warm in-memory [`Conn`] is fed pre-rendered
 //!   HTTP requests (no sockets, no scheduler) and the crate's own stage
 //!   histograms (`parse`, `route`, `push`, `respond`, `request`,
-//!   `overhead`) are read back via [`tsad_ingest::stage_stats`]. The
-//!   gate compares each p99 **absolutely** against the crate's budgets
-//!   ([`tsad_ingest::BUDGET_PARSE_NS`] and friends): these are contracts,
-//!   not baselines, so a regression cannot be grandfathered in by
-//!   regenerating the committed document.
+//!   `overhead`) are read back via [`tsad_ingest::stage_stats`]. Each
+//!   budgeted p99 is an `abs_max` row against the crate's budget
+//!   ([`tsad_ingest::BUDGET_PARSE_NS`] and friends) widened to its log2
+//!   histogram bucket bound ([`tsad_ingest::budget_bound`]): these are
+//!   contracts, not baselines, so a regression cannot be grandfathered in
+//!   by regenerating the committed document. Each stage's sample count is
+//!   `exact`.
 //! * **Steady-state allocations** — heap allocations across warm requests
 //!   with observability ON, counted by [`crate::alloc_track`] when the
 //!   host binary installs it (`repro` does; under `cargo test` the field
@@ -18,17 +19,17 @@
 //!   connection buffers mean a warm request path never touches the
 //!   allocator.
 //! * **Loopback throughput** — a real server on `127.0.0.1:0` driven by
-//!   the built-in load generator over both transports; requests/second is
-//!   gated relatively with a wide margin (socket numbers are noisy) and
-//!   errors exactly to zero.
+//!   the built-in load generator over both transports. Wall ns per request
+//!   is gated relatively with a wide margin ([`MAX_NS_PER_REQUEST_RATIO`];
+//!   socket numbers are noisy), and only against a baseline with the same
+//!   worker count (`threads`); errors are `exact` (zero).
 //!
 //! The raw-fleet column (`raw_push_ns_per_batch`) times `push_batch`
 //! directly on an equally warmed fleet, so the `overhead` stage — request
 //! minus push — can be read against what the fleet alone costs.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 use tsad_core::error::Result;
 use tsad_detectors::cusum::Cusum;
@@ -36,9 +37,22 @@ use tsad_fleet::{BatchOutput, Fleet, FleetConfig, SeriesId};
 use tsad_ingest::loadgen::{LoadGenConfig, LoadReport, Transport};
 use tsad_ingest::{Conn, ConnConfig, Engine, EngineConfig, ServerConfig, StageStats};
 use tsad_parallel::with_threads;
-use tsad_stream::{FnFactory, NanPolicy, Sanitized, StreamingCusum, StreamingDetector};
+use tsad_stream::{FnFactory, NanPolicy, Sanitized, StreamingCusum};
 
-use crate::alloc_track::{count_allocs, counting_allocator_active};
+use crate::gate::{Doc, Env, Gate};
+use crate::harness::{allocs, observed, time};
+
+/// Fresh loopback ns/request may be at most this multiple of the
+/// baseline's: socket numbers bounce more than in-process medians, so the
+/// margin is wider than [`Gate::WALL`]'s.
+pub const MAX_NS_PER_REQUEST_RATIO: f64 = 1.5;
+
+/// The stages whose p99 is gated against a budget.
+const BUDGETS: [(&str, u64); 3] = [
+    ("parse", tsad_ingest::BUDGET_PARSE_NS),
+    ("route", tsad_ingest::BUDGET_ROUTE_NS),
+    ("overhead", tsad_ingest::BUDGET_OVERHEAD_NS),
+];
 
 /// Sizes for one ingest measurement.
 #[derive(Debug, Clone, Copy)]
@@ -107,16 +121,10 @@ impl IngestBenchConfig {
 /// One complete ingest measurement.
 #[derive(Debug, Clone)]
 pub struct IngestBench {
-    /// Seed the point values were generated from.
-    pub seed: u64,
     /// The configuration measured.
     pub cfg: IngestBenchConfig,
-    /// Detector fingerprint (every series spawns this configuration).
-    pub detector: String,
-    /// SIMD backend the run dispatched to.
-    pub dispatch: &'static str,
-    /// f64 lanes per vector of that backend.
-    pub lane_width: usize,
+    /// Where the run measured (seed, SIMD dispatch, threads).
+    pub env: Env,
     /// Median ns per `push_batch` of one request's points on a raw fleet
     /// (no protocol, no server) at 1 thread.
     pub raw_push_ns: u64,
@@ -287,15 +295,14 @@ pub fn run_loadgen(cli: &LoadGenCli, seed: u64) -> std::result::Result<String, S
     Ok(render_loadgen(cfg.transport, &report))
 }
 
-/// Serializes [`run`] calls within one process (the observability registry
-/// is global; same pattern as the kernel and fleet benches).
-static RUN_LOCK: Mutex<()> = Mutex::new(());
-
 /// Runs the ingest measurement.
 pub fn run(seed: u64, cfg: &IngestBenchConfig) -> Result<IngestBench> {
-    let _serialize = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    tsad_obs::reset_all();
+    let (bench, obs) = observed(|| run_observed(seed, cfg));
+    Ok(IngestBench { obs, ..bench })
+}
 
+fn run_observed(seed: u64, cfg: &IngestBenchConfig) -> IngestBench {
+    let env = Env::current(seed);
     let engine = new_engine(cfg);
     let mut conn = Conn::new(ConnConfig::default());
     let mut batch = Vec::with_capacity(cfg.batch_points);
@@ -320,12 +327,10 @@ pub fn run(seed: u64, cfg: &IngestBenchConfig) -> Result<IngestBench> {
             request.clone()
         })
         .collect();
-    let steady_allocs = counting_allocator_active().then(|| {
-        count_allocs(|| {
-            for req in &rendered {
-                feed_request(&mut conn, &engine, req);
-            }
-        })
+    let steady_allocs = allocs(|| {
+        for req in &rendered {
+            feed_request(&mut conn, &engine, req);
+        }
     });
     round += alloc_requests;
 
@@ -350,20 +355,15 @@ pub fn run(seed: u64, cfg: &IngestBenchConfig) -> Result<IngestBench> {
             },
         );
         let mut out = BatchOutput::new();
-        for r in 0..(cfg.warm_requests.max(1) as u64) {
-            fill_batch(cfg, seed, r, &mut batch);
-            fleet.push_batch(&batch, &mut out);
-        }
-        let mut samples: Vec<u64> = (0..cfg.requests.max(1) as u64)
+        let batches: Vec<Vec<(SeriesId, f64)>> = (0..(cfg.warm_requests + cfg.requests) as u64)
             .map(|r| {
-                fill_batch(cfg, seed, r + cfg.warm_requests as u64, &mut batch);
-                let t0 = Instant::now();
-                fleet.push_batch(&batch, &mut out);
-                t0.elapsed().as_nanos() as u64
+                fill_batch(cfg, seed, r, &mut batch);
+                batch.clone()
             })
             .collect();
-        samples.sort_unstable();
-        samples[samples.len() / 2]
+        let mut next = batches.iter().cycle();
+        let mut push = || fleet.push_batch(next.next().expect("cycled"), &mut out);
+        time(cfg.warm_requests.max(1), cfg.requests, &mut push).median_ns
     });
 
     // loopback throughput: a real server, both transports, fresh engine so
@@ -394,169 +394,73 @@ pub fn run(seed: u64, cfg: &IngestBenchConfig) -> Result<IngestBench> {
     }
     handle.stop().expect("clean shutdown");
 
-    let backend = tsad_core::simd::current();
-    Ok(IngestBench {
-        seed,
+    IngestBench {
         cfg: *cfg,
-        detector: spawn_detector(0).name(),
-        dispatch: backend.name(),
-        lane_width: backend.lane_width(),
+        env,
         raw_push_ns,
         stages,
         steady_allocs,
         alloc_requests,
         loadgen,
-        obs: tsad_obs::snapshot(),
-    })
+        obs: tsad_obs::Snapshot::default(),
+    }
 }
 
-/// Renders the human-readable report for `repro -- ingest-json` (and the
-/// tail of `repro -- loadgen`).
-pub fn render(b: &IngestBench) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Ingest: {} pts/request over {} series, {} detector, dispatch {} ({} lanes)",
-        b.cfg.batch_points, b.cfg.series, b.detector, b.dispatch, b.lane_width
-    );
-    let _ = writeln!(
-        out,
-        "  raw fleet push_batch: {} ns/batch (median, 1 thread)",
-        b.raw_push_ns
-    );
-    let _ = writeln!(
-        out,
-        "  {:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "stage", "count", "p50 ns", "p95 ns", "p99 ns", "max ns"
-    );
+/// The `BENCH_ingest.json` rows.
+pub fn to_doc(b: &IngestBench) -> Doc {
+    let mut doc = Doc::new("ingest", b.env.clone());
+    let points = b.cfg.batch_points as u64;
+    doc.push("geometry", "batch_points", "points", points, Gate::Exact);
+    doc.push("geometry", "series", "series", b.cfg.series, Gate::Exact);
+    doc.push("raw_push", "wall_ns", "ns", b.raw_push_ns, Gate::Info);
     for s in &b.stages {
-        let _ = writeln!(
-            out,
-            "  {:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            s.stage, s.count, s.p50_ns, s.p95_ns, s.p99_ns, s.max_ns
+        let p99_gate = BUDGETS.iter().find(|(stage, _)| *stage == s.stage).map_or(
+            Gate::Info,
+            |&(_, budget)| Gate::AbsMax {
+                budget: tsad_ingest::budget_bound(budget * b.cfg.budget_scale),
+            },
         );
+        doc.push(s.stage, "count", "requests", s.count, Gate::Exact);
+        doc.push(s.stage, "p50_ns", "ns", s.p50_ns, Gate::Info);
+        doc.push(s.stage, "p95_ns", "ns", s.p95_ns, Gate::Info);
+        doc.push(s.stage, "p99_ns", "ns", s.p99_ns, p99_gate);
+        doc.push(s.stage, "max_ns", "ns", s.max_ns, Gate::Info);
     }
-    let _ = writeln!(
-        out,
-        "  allocations/request (warm, obs on): {}",
-        b.allocs_per_request()
-            .map_or_else(|| "not measured".to_string(), |a| a.to_string())
-    );
+    let apr = b.allocs_per_request();
+    doc.push("request", "allocs_per_request", "allocs", apr, Gate::Exact);
+    let loopback = Gate::MaxRatio {
+        r: MAX_NS_PER_REQUEST_RATIO,
+        floor_ns: 0,
+        same_threads: true,
+    };
     for (transport, r) in &b.loadgen {
-        let _ = writeln!(
-            out,
-            "  loadgen {:<5} {:>8.0} req/s  {:>12.0} pts/s  p99 {} ns  \
-             ({} ok, {} retried, {} resends, {} errors)",
-            transport.name(),
-            r.rps(),
-            r.points_per_sec(),
-            r.p99_ns,
-            r.requests,
-            r.retried,
-            r.retries,
-            r.errors
-        );
+        let case = format!("loadgen_{}", transport.name());
+        let ns_per_request = r.elapsed_ns / r.requests.max(1);
+        doc.push(&case, "errors", "requests", r.errors, Gate::Exact);
+        doc.push(&case, "ns_per_request", "ns", ns_per_request, loopback);
+        doc.push(&case, "requests", "requests", r.requests, Gate::Info);
+        doc.push(&case, "retried", "requests", r.retried, Gate::Info);
+        doc.push(&case, "p50_ns", "ns", r.p50_ns, Gate::Info);
+        doc.push(&case, "p99_ns", "ns", r.p99_ns, Gate::Info);
     }
-    out
-}
-
-/// Renders the machine-readable document (`BENCH_ingest.json`).
-pub fn render_json(b: &IngestBench) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"tsad-bench-ingest/v1\",");
-    let _ = writeln!(out, "  \"seed\": {},", b.seed);
-    let _ = writeln!(out, "  \"series\": {},", b.cfg.series);
-    let _ = writeln!(out, "  \"batch_points\": {},", b.cfg.batch_points);
-    let _ = writeln!(out, "  \"requests\": {},", b.cfg.requests);
-    // The *effective* worker count (TSAD_THREADS-aware): loopback rps
-    // is only gateable against a baseline with the same worker count.
-    let _ = writeln!(
-        out,
-        "  \"host_threads\": {},",
-        tsad_parallel::current_threads()
-    );
-    let _ = writeln!(out, "  \"detector\": \"{}\",", b.detector);
-    let _ = writeln!(out, "  \"dispatch\": \"{}\",", b.dispatch);
-    let _ = writeln!(out, "  \"lane_width\": {},", b.lane_width);
-    let _ = writeln!(
-        out,
-        "  \"budget_parse_ns\": {},",
-        tsad_ingest::BUDGET_PARSE_NS * b.cfg.budget_scale
-    );
-    let _ = writeln!(
-        out,
-        "  \"budget_route_ns\": {},",
-        tsad_ingest::BUDGET_ROUTE_NS * b.cfg.budget_scale
-    );
-    let _ = writeln!(
-        out,
-        "  \"budget_overhead_ns\": {},",
-        tsad_ingest::BUDGET_OVERHEAD_NS * b.cfg.budget_scale
-    );
-    let _ = writeln!(out, "  \"raw_push_ns_per_batch\": {},", b.raw_push_ns);
-    out.push_str("  \"stages\": [\n");
-    for (i, s) in b.stages.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"stage\": \"{}\", \"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \
-             \"p99_ns\": {}, \"max_ns\": {}}}{}",
-            s.stage,
-            s.count,
-            s.p50_ns,
-            s.p95_ns,
-            s.p99_ns,
-            s.max_ns,
-            if i + 1 < b.stages.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n");
-    match b.steady_allocs {
-        Some(n) => {
-            let _ = writeln!(out, "  \"steady_state_allocs\": {n},");
-        }
-        None => out.push_str("  \"steady_state_allocs\": null,\n"),
-    }
-    let _ = writeln!(out, "  \"alloc_requests\": {},", b.alloc_requests);
-    match b.allocs_per_request() {
-        Some(n) => {
-            let _ = writeln!(out, "  \"allocs_per_request\": {n},");
-        }
-        None => out.push_str("  \"allocs_per_request\": null,\n"),
-    }
-    out.push_str("  \"loadgen\": [\n");
-    for (i, (transport, r)) in b.loadgen.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"transport\": \"{}\", \"requests\": {}, \"retried\": {}, \"retries\": {}, \
-             \"errors\": {}, \"points\": {}, \"rps\": {}, \"points_per_sec\": {}, \"p50_ns\": {}, \
-             \"p99_ns\": {}, \"max_ns\": {}}}{}",
-            transport.name(),
-            r.requests,
-            r.retried,
-            r.retries,
-            r.errors,
-            r.points,
-            r.rps().round() as u64,
-            r.points_per_sec().round() as u64,
-            r.p50_ns,
-            r.p99_ns,
-            r.max_ns,
-            if i + 1 < b.loadgen.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"obs\": {}", tsad_obs::render_json(&b.obs, 2));
-    out.push_str("}\n");
-    out
+    doc.obs.push(("run".to_string(), b.obs.clone()));
+    doc
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One smoke run shared by the tests that only read it.
+    pub(crate) fn smoke() -> &'static IngestBench {
+        static RUN: OnceLock<IngestBench> = OnceLock::new();
+        RUN.get_or_init(|| run(42, &IngestBenchConfig::smoke()).expect("ingest smoke run"))
+    }
 
     #[test]
     fn smoke_run_measures_every_stage_and_both_transports() {
-        let b = run(42, &IngestBenchConfig::smoke()).unwrap();
+        let b = smoke();
         assert_eq!(b.stages.len(), 6);
         for s in &b.stages {
             assert_eq!(s.count, 128, "{}", s.stage);
@@ -575,29 +479,26 @@ mod tests {
 
     #[test]
     fn smoke_json_is_wellformed_and_parses() {
-        let b = run(42, &IngestBenchConfig::smoke()).unwrap();
-        let json = render_json(&b);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let doc = crate::minijson::parse(&json).expect("ingest json parses");
-        assert_eq!(
-            doc.get("schema").and_then(|v| v.as_str()),
-            Some("tsad-bench-ingest/v1")
-        );
-        let stages = doc.get("stages").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(stages.len(), 6);
-        let loadgen = doc.get("loadgen").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(loadgen.len(), 2);
-        assert!(json.contains("\"allocs_per_request\": null"));
-        assert!(!json.contains(",\n}"));
-        let human = render(&b);
-        assert!(human.contains("loadgen http"));
-        assert!(human.contains("parse"));
+        let b = smoke();
+        let json = to_doc(b).render();
+        let doc = Doc::parse(&json).expect("ingest json parses");
+        assert_eq!(doc.suite, "ingest");
+        for stage in ["parse", "route", "push", "respond", "request", "overhead"] {
+            assert!(doc.row(stage, "p99_ns").is_some(), "{stage}");
+        }
+        for transport in ["loadgen_http", "loadgen_tcp"] {
+            assert!(
+                doc.row(transport, "ns_per_request").is_some(),
+                "{transport}"
+            );
+        }
+        let allocs = doc.row("request", "allocs_per_request").unwrap();
+        assert_eq!(allocs.value, crate::minijson::JsonValue::Null);
     }
 
     #[test]
     fn allocs_per_request_rounds_up_violations() {
-        let b = run(7, &IngestBenchConfig::smoke()).unwrap();
-        let mut forged = b.clone();
+        let mut forged = smoke().clone();
         forged.steady_allocs = Some(0);
         assert_eq!(forged.allocs_per_request(), Some(0));
         forged.steady_allocs = Some(1); // 1 alloc over the whole window

@@ -5,21 +5,21 @@
 //! allocations on the warm path) against real files, and proves the
 //! recovery contract in the same document: a log with a deliberately torn
 //! tail must recover to a **bitwise-identical** fleet state over the
-//! surviving prefix. CI regenerates this document and gates it against
-//! the committed `BENCH_wal.json` with `repro -- wal-compare`: the
-//! wall-time ratio is gated for the fsync-free policy only (fsync latency
-//! is hardware, not code), while the allocation count and the recovery
-//! booleans are exact contracts on every run.
+//! surviving prefix. In `BENCH_wal.json` the median append wall is gated
+//! at [`Gate::WALL`] for the fsync-free policy only (fsync latency is
+//! hardware, not code; those rows are `info`), while the allocation count
+//! (`exact`), the recovery booleans (`must_be_true`), the replayed batch
+//! count and the workload geometry (`exact`) are contracts on every run.
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use tsad_faults::SplitMix64;
 use tsad_fleet::{BatchOutput, Fleet, FleetConfig, SeriesId};
 use tsad_stream::{FnFactory, StreamingGlobalZScore};
 use tsad_wal::{recover, FsDir, FsyncPolicy, MemDir, Wal, WalConfig, WalDir};
 
-use crate::alloc_track::{count_allocs, counting_allocator_active};
+use crate::gate::{Doc, Env, Gate};
+use crate::harness::{allocs, observed, time};
 
 /// Workload shape for the WAL measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +58,10 @@ impl WalBenchConfig {
 pub struct PolicyRow {
     /// Policy label (`per-batch`, `group`, `off`).
     pub policy: &'static str,
-    /// Mean append wall time per batch, nanoseconds.
+    /// Median append wall time per batch, nanoseconds.
     pub wall_ns_per_batch: u64,
+    /// 99th-percentile append wall time per batch, nanoseconds.
+    pub wall_p99_ns: u64,
     /// Points appended per second at that rate.
     pub points_per_sec: u64,
     /// fsync calls the whole run issued (appends + seals).
@@ -92,6 +94,8 @@ pub struct WalBench {
     pub seed: u64,
     /// Workload shape.
     pub cfg: WalBenchConfig,
+    /// Where the run measured (seed, SIMD dispatch, threads).
+    pub env: Env,
     /// One row per fsync policy.
     pub rows: Vec<PolicyRow>,
     /// Torn-tail recovery fidelity.
@@ -99,10 +103,6 @@ pub struct WalBench {
     /// `wal.*` observability counters recorded during the run.
     pub obs: tsad_obs::Snapshot,
 }
-
-/// Serializes runs within one process: the observability registry is
-/// global (same pattern as the kernel, fleet, and ingest benches).
-static RUN_LOCK: Mutex<()> = Mutex::new(());
 
 const FP: &str = "wal-bench-zscore-w4";
 
@@ -190,42 +190,35 @@ fn measure_policy(
     let mut wal = Wal::create(dir, wal_cfg).map_err(std::io::Error::other)?;
     let mut rng = SplitMix64::new(seed);
 
-    // warm-up: scratch buffers grow to their high-water mark here
-    for _ in 0..16 {
+    // warm-up (16 appends: scratch buffers grow to their high-water
+    // mark), then one sample per append
+    let mut failed = None;
+    let timing = time(16, cfg.batches as usize, &mut || {
         let b = batch(&mut rng, cfg.batch_points);
-        wal.append(b.iter().copied())?;
+        if let Err(e) = wal.append(b.iter().copied()) {
+            failed.get_or_insert(e);
+        }
+    });
+    if let Some(e) = failed {
+        return Err(e);
     }
-
-    let t0 = std::time::Instant::now();
-    for _ in 0..cfg.batches {
-        let b = batch(&mut rng, cfg.batch_points);
-        wal.append(b.iter().copied())?;
-    }
-    let wall_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    let wall_ns_per_batch = wall_ns / cfg.batches.max(1);
-    let points = cfg.batches * cfg.batch_points as u64;
-    let points_per_sec = if wall_ns == 0 {
-        0
-    } else {
-        ((points as f64) * 1e9 / wall_ns as f64).round() as u64
-    };
+    let points_per_sec = (cfg.batch_points as f64 * 1e9 / timing.median_ns.max(1) as f64).round();
 
     // the allocation window: warm appends only (the batch itself is
     // built outside the counted closure; rotation is excluded by
     // measuring far fewer bytes than one segment holds)
-    let allocs_per_batch = counting_allocator_active().then(|| {
-        let b = batch(&mut rng, cfg.batch_points);
-        count_allocs(|| {
-            for _ in 0..8 {
-                wal.append(b.iter().copied()).expect("warm append");
-            }
-        })
+    let b = batch(&mut rng, cfg.batch_points);
+    let allocs_per_batch = allocs(|| {
+        for _ in 0..8 {
+            wal.append(b.iter().copied()).expect("warm append");
+        }
     });
 
     Ok(PolicyRow {
         policy: label,
-        wall_ns_per_batch,
-        points_per_sec,
+        wall_ns_per_batch: timing.median_ns,
+        wall_p99_ns: timing.p99_ns,
+        points_per_sec: points_per_sec as u64,
         fsyncs: wal.fsyncs(),
         bytes_written: wal.bytes_written(),
         allocs_per_batch,
@@ -304,20 +297,20 @@ fn check_recovery(seed: u64, cfg: &WalBenchConfig) -> RecoveryCheck {
 
 /// Runs the WAL measurement.
 pub fn run(seed: u64, cfg: &WalBenchConfig) -> std::io::Result<WalBench> {
-    let _serialize = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    tsad_obs::reset_all();
-
-    let mut rows = Vec::new();
-    for (label, policy) in policies() {
-        rows.push(measure_policy(seed, cfg, label, policy)?);
-    }
-    let recovery = check_recovery(seed, cfg);
+    let ((rows, recovery), obs) = observed(|| {
+        let rows = policies()
+            .into_iter()
+            .map(|(label, policy)| measure_policy(seed, cfg, label, policy))
+            .collect::<std::io::Result<Vec<_>>>();
+        (rows, check_recovery(seed, cfg))
+    });
     Ok(WalBench {
         seed,
         cfg: *cfg,
-        rows,
+        env: Env::current(seed),
+        rows: rows?,
         recovery,
-        obs: tsad_obs::snapshot(),
+        obs,
     })
 }
 
@@ -358,55 +351,59 @@ pub fn render(b: &WalBench) -> String {
     out
 }
 
-/// Renders the machine-readable document (`BENCH_wal.json`).
-pub fn render_json(b: &WalBench) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"tsad-bench-wal/v1\",");
-    let _ = writeln!(out, "  \"seed\": {},", b.seed);
-    let _ = writeln!(out, "  \"batches\": {},", b.cfg.batches);
-    let _ = writeln!(out, "  \"batch_points\": {},", b.cfg.batch_points);
-    let _ = writeln!(out, "  \"segment_bytes\": {},", b.cfg.segment_bytes);
-    out.push_str("  \"policies\": [\n");
-    for (i, r) in b.rows.iter().enumerate() {
-        let allocs = r
-            .allocs_per_batch
-            .map_or_else(|| "null".to_string(), |a| a.to_string());
-        let _ = writeln!(
-            out,
-            "    {{\"policy\": \"{}\", \"wall_ns_per_batch\": {}, \"points_per_sec\": {}, \
-             \"fsyncs\": {}, \"bytes_written\": {}, \"allocs_per_batch\": {}}}{}",
-            r.policy,
-            r.wall_ns_per_batch,
-            r.points_per_sec,
-            r.fsyncs,
-            r.bytes_written,
-            allocs,
-            if i + 1 < b.rows.len() { "," } else { "" }
-        );
+/// The `BENCH_wal.json` rows.
+pub fn to_doc(b: &WalBench) -> Doc {
+    let mut doc = Doc::new("wal", b.env.clone());
+    let c = &b.cfg;
+    doc.push("geometry", "batches", "batches", c.batches, Gate::Exact);
+    let points = c.batch_points as u64;
+    doc.push("geometry", "batch_points", "points", points, Gate::Exact);
+    let seg = c.segment_bytes;
+    doc.push("geometry", "segment_bytes", "B", seg, Gate::Exact);
+    for r in &b.rows {
+        // fsync-bound rows measure the runner's disk, not the code
+        let wall = if r.policy == "off" {
+            Gate::WALL
+        } else {
+            Gate::Info
+        };
+        let p = r.policy;
+        doc.push(p, "wall_ns_per_batch", "ns", r.wall_ns_per_batch, wall);
+        doc.push(p, "wall_p99_ns", "ns", r.wall_p99_ns, Gate::Info);
+        let pps = r.points_per_sec;
+        doc.push(p, "points_per_sec", "points/s", pps, Gate::Info);
+        doc.push(p, "fsyncs", "fsyncs", r.fsyncs, Gate::Info);
+        doc.push(p, "bytes_written", "B", r.bytes_written, Gate::Info);
+        let allocs = r.allocs_per_batch;
+        doc.push(p, "allocs_per_batch", "allocs", allocs, Gate::Exact);
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"recovery\": {{\"bitwise\": {}, \"replayed_batches\": {}, \"truncated_bytes\": {}, \
-         \"torn_tail_truncated\": {}}},",
-        b.recovery.bitwise,
-        b.recovery.replayed_batches,
-        b.recovery.truncated_bytes,
-        b.recovery.torn_tail_truncated
-    );
-    let _ = writeln!(out, "  \"obs\": {}", tsad_obs::render_json(&b.obs, 2));
-    out.push_str("}\n");
-    out
+    let rec = &b.recovery;
+    doc.push("recovery", "bitwise", "bool", rec.bitwise, Gate::MustBeTrue);
+    let torn = rec.torn_tail_truncated;
+    let metric = "torn_tail_truncated";
+    doc.push("recovery", metric, "bool", torn, Gate::MustBeTrue);
+    let n = rec.replayed_batches;
+    doc.push("recovery", "replayed_batches", "batches", n, Gate::Exact);
+    let cut = rec.truncated_bytes;
+    doc.push("recovery", "truncated_bytes", "B", cut, Gate::Info);
+    doc.obs.push(("run".to_string(), b.obs.clone()));
+    doc
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::minijson::{parse, JsonValue};
+    use std::sync::OnceLock;
+
+    /// One smoke run shared by the tests that only read it.
+    pub(crate) fn smoke() -> &'static WalBench {
+        static RUN: OnceLock<WalBench> = OnceLock::new();
+        RUN.get_or_init(|| run(7, &WalBenchConfig::smoke()).expect("wal smoke run"))
+    }
 
     #[test]
     fn the_smoke_run_holds_the_durability_contracts() {
-        let b = run(7, &WalBenchConfig::smoke()).expect("wal bench");
+        let b = smoke();
         assert_eq!(b.rows.len(), 3);
         // per-batch syncs at least once per append; off only on seals
         let per_batch = &b.rows[0];
@@ -414,6 +411,7 @@ mod tests {
         assert!(per_batch.fsyncs >= b.cfg.batches);
         assert!(off.fsyncs < per_batch.fsyncs);
         assert!(per_batch.bytes_written > 0);
+        assert!(per_batch.wall_ns_per_batch <= per_batch.wall_p99_ns);
         // recovery fidelity is not optional
         assert!(b.recovery.bitwise);
         assert!(b.recovery.torn_tail_truncated);
@@ -423,32 +421,16 @@ mod tests {
 
     #[test]
     fn the_json_document_parses_with_the_expected_shape() {
-        let b = run(7, &WalBenchConfig::smoke()).expect("wal bench");
-        let doc = parse(&render_json(&b)).expect("valid json");
-        assert_eq!(
-            doc.get("schema").and_then(JsonValue::as_str),
-            Some("tsad-bench-wal/v1")
-        );
-        let rows = doc
-            .get("policies")
-            .and_then(JsonValue::as_arr)
-            .expect("policies array");
-        assert_eq!(rows.len(), 3);
-        assert_eq!(
-            rows[0].get("policy").and_then(JsonValue::as_str),
-            Some("per-batch")
-        );
-        let rec = doc.get("recovery").expect("recovery object");
-        assert_eq!(rec.get("bitwise").and_then(JsonValue::as_bool), Some(true));
-        assert_eq!(
-            rec.get("torn_tail_truncated").and_then(JsonValue::as_bool),
-            Some(true)
-        );
-        // without the counting allocator the alloc column is null, and
-        // minijson must surface that as an absent u64
-        assert_eq!(
-            rows[0].get("allocs_per_batch").and_then(JsonValue::as_u64),
-            None
-        );
+        let doc = Doc::parse(&to_doc(smoke()).render()).expect("valid json");
+        assert_eq!(doc.suite, "wal");
+        for policy in ["per-batch", "group", "off"] {
+            assert!(doc.row(policy, "wall_ns_per_batch").is_some(), "{policy}");
+            // without the counting allocator the alloc column is null
+            let allocs = doc.row(policy, "allocs_per_batch").unwrap();
+            assert_eq!(allocs.value, crate::minijson::JsonValue::Null);
+        }
+        let rec = |m: &str| doc.row("recovery", m).unwrap().value.as_bool();
+        assert_eq!(rec("bitwise"), Some(true));
+        assert_eq!(rec("torn_tail_truncated"), Some(true));
     }
 }

@@ -1,9 +1,20 @@
 //! # tsad-bench
 //!
 //! The reproduction harness: every table and figure of Wu & Keogh
-//! (ICDE 2022) as a runnable experiment. The `repro` binary prints each
-//! experiment's table/figure; the Criterion benches under `benches/` time
-//! the computational kernels per experiment.
+//! (ICDE 2022) as a runnable experiment, plus the repository's bench
+//! suites. The `repro` binary prints each experiment's table/figure;
+//! `repro -- bench <suite>` writes a suite's `BENCH_<suite>.json` in the one
+//! row format of [`gate`] (timed by [`harness`]), and `repro -- compare
+//! BASE FRESH` gates a fresh document against the committed one.
+//!
+//! | suite | module | committed document |
+//! |---|---|---|
+//! | `kernels` | [`experiments::bench_json`] | `BENCH_kernels.json` |
+//! | `fleet` | [`experiments::fleet`] | `BENCH_fleet.json` |
+//! | `ingest` | [`experiments::ingest_bench`] | `BENCH_ingest.json` |
+//! | `wal` | [`experiments::wal_bench`] | `BENCH_wal.json` |
+//! | `catalog` | [`experiments::catalog`] | `BENCH_catalog.json` |
+//! | `faults` | [`experiments::faults`] | `BENCH_faults.json` |
 //!
 //! | experiment | module | paper artifact |
 //! |---|---|---|
@@ -27,12 +38,14 @@
 
 pub mod alloc_track;
 pub mod gate;
+pub mod harness;
 pub mod minijson;
 
 pub mod experiments {
     //! One module per paper artifact; see the crate-level table.
     pub mod audit_exp;
-    pub mod bench_compare;
+    #[cfg(test)]
+    mod bench_compare;
     pub mod bench_json;
     pub mod catalog;
     pub mod contest;

@@ -1,9 +1,10 @@
-//! A minimal recursive-descent JSON parser.
+//! A minimal recursive-descent JSON parser and printer.
 //!
-//! `bench-compare` has to read two `BENCH_kernels.json` documents, and the
-//! build is offline (no serde). The documents are small (a few KB) and
-//! produced by this workspace, so a compact strict parser is enough: full
-//! JSON syntax, `f64` numbers, string escapes, no trailing commas.
+//! `repro -- compare` has to read two `BENCH_*.json` documents, and the
+//! build is offline (no serde). The documents are small and produced by
+//! this workspace, so a compact strict parser is enough: full JSON syntax,
+//! `f64` numbers, string escapes, no trailing commas. [`JsonValue`]'s
+//! `Display` prints the compact form the bench writer embeds.
 
 use std::collections::BTreeMap;
 
@@ -68,6 +69,70 @@ impl JsonValue {
                 Some(*n as u64)
             }
             _ => None,
+        }
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        JsonValue::Num(n as f64)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Num(n)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+/// `None` is `null`: a measurement this process could not take.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+impl std::fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            // JSON has no NaN or infinity
+            JsonValue::Num(n) if !n.is_finite() => f.write_str("null"),
+            JsonValue::Num(n) => write!(f, "{n}"),
+            JsonValue::Str(s) => {
+                f.write_str("\"")?;
+                for c in s.chars() {
+                    match c {
+                        '"' => f.write_str("\\\"")?,
+                        '\\' => f.write_str("\\\\")?,
+                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                        c => write!(f, "{c}")?,
+                    }
+                }
+                f.write_str("\"")
+            }
+            JsonValue::Arr(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    write!(f, "{}{v}", if i == 0 { "" } else { ", " })?;
+                }
+                f.write_str("]")
+            }
+            JsonValue::Obj(map) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in map.iter().enumerate() {
+                    let key = JsonValue::Str(k.clone());
+                    write!(f, "{}{key}: {v}", if i == 0 { "" } else { ", " })?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -324,6 +389,16 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn display_prints_json_that_parses_back() {
+        let text = r#"{"a": [1, 2.5, null, true], "b\"q": {"c": "x\\y\nz"}, "d": -3}"#;
+        let doc = parse(text).unwrap();
+        assert_eq!(parse(&doc.to_string()).unwrap(), doc);
+        assert_eq!(JsonValue::from(f64::NAN).to_string(), "null");
+        assert_eq!(JsonValue::from(None::<u64>).to_string(), "null");
+        assert_eq!(JsonValue::from(7u64).to_string(), "7");
     }
 
     #[test]

@@ -191,9 +191,9 @@ fn fleet_steady_state_ingest_is_allocation_free() {
     // ingestion performs zero heap allocations at one effective thread —
     // with observability ON (TSAD_OBS is unset here), so the fleet's
     // counters, gauges, and spans are proven free along with the slab,
-    // LRU, and per-batch buffers. `repro -- fleet-json` records the same
-    // number in BENCH_fleet.json as `allocs_per_point`, gated by
-    // `fleet-compare` in CI.
+    // LRU, and per-batch buffers. `repro -- bench fleet` records the same
+    // number in BENCH_fleet.json as the `allocs_per_point` row, gated
+    // `exact` by `repro -- compare` in CI.
     use tsad_fleet::{BatchOutput, Fleet, FleetConfig, SeriesId};
     use tsad_stream::{FnFactory, NanPolicy, Sanitized, StreamingCusum};
 

@@ -16,7 +16,7 @@
 //! * The fleet spawns per-series detectors by id through
 //!   `tsad-stream::RegistryFactory`.
 //! * `repro -- detectors-md` renders `DETECTORS.md` from the table, and
-//!   `repro -- catalog-json` runs every entry through the Table-1
+//!   `repro -- bench catalog` runs every entry through the Table-1
 //!   triviality experiment; CI fails when either drifts from the
 //!   committed artifact.
 //!

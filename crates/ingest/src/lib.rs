@@ -36,8 +36,9 @@
 //! * **Per-stage latency budgets.** Each request is timed through parse →
 //!   route → push → respond stages into `ingest.*` histograms, and the
 //!   budgets ([`BUDGET_PARSE_NS`], [`BUDGET_ROUTE_NS`],
-//!   [`BUDGET_OVERHEAD_NS`]) are enforced in CI by
-//!   `repro -- ingest-compare` against the committed `BENCH_ingest.json`.
+//!   [`BUDGET_OVERHEAD_NS`]) are enforced in CI by `repro -- bench
+//!   ingest` + `repro -- compare` against the committed
+//!   `BENCH_ingest.json`.
 //!
 //! ## Stage semantics
 //!

@@ -5,8 +5,8 @@
 //! of which thread registered which metric first. Metrics with no recorded
 //! activity are omitted, which makes "is this subsystem exercised?"
 //! checkable directly from the export. [`render_json`] emits the stable
-//! `tsad-obs/v1` schema embedded per kernel in `BENCH_kernels.json`
-//! (schema v3); [`render_summary`] is the human-readable form behind
+//! `tsad-obs/v1` schema embedded in the `obs` blocks of the
+//! `BENCH_*.json` documents; [`render_summary`] is the human-readable form behind
 //! `repro -- --obs-summary`.
 
 use crate::metrics::quantile_from_buckets;

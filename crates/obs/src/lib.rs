@@ -24,8 +24,8 @@
 //!   observability enabled;
 //! * exporters — [`snapshot`] (sorted, deterministic), [`render_summary`]
 //!   (human-readable, for `repro -- --obs-summary` on stderr) and
-//!   [`render_json`] (the stable `tsad-obs/v1` schema that
-//!   `BENCH_kernels.json` schema v3 embeds per kernel).
+//!   [`render_json`] (the stable `tsad-obs/v1` schema that the
+//!   `BENCH_*.json` documents embed in their `obs` blocks).
 //!
 //! ## The kill switch
 //!

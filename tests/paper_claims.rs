@@ -2,8 +2,8 @@
 //! end-to-end through the public facade.
 //!
 //! These use subsampled workloads so they stay fast in debug mode; the
-//! full-size reproductions live in the `repro` binary and the Criterion
-//! benches.
+//! full-size reproductions live in the `repro` binary, and the kernels
+//! bench suite (`repro -- bench kernels`) times them.
 
 use tsad::eval::flaws::{density, position, triviality};
 use tsad::prelude::*;
